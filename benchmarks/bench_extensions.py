@@ -83,22 +83,3 @@ def test_extra_bounded(benchmark):
     assert_all_checks(out)
     print("\n" + out.text)
 
-
-def test_level3_bounded_vs_plain(benchmark):
-    """Wall-clock + modelled comparison of the bounded nkd executor."""
-    from repro.core.level3 import run_level3
-    from repro.core.level3_bounded import run_level3_bounded
-    from repro.machine.machine import toy_machine
-
-    machine = toy_machine(n_nodes=2, cgs_per_node=2, mesh=4,
-                          ldm_bytes=64 * 1024)
-    X, _ = gaussian_blobs(n=2000, k=20, d=32, seed=6)
-    C0 = init_centroids(X, 20, method="first")
-
-    def run():
-        return run_level3_bounded(X, C0, machine, max_iter=30)
-
-    bounded = benchmark(run)
-    plain = run_level3(X, C0, machine, max_iter=30)
-    assert (bounded.mean_iteration_seconds()
-            < plain.mean_iteration_seconds())

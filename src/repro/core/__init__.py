@@ -42,7 +42,6 @@ from .kmeans import LEVELS, HierarchicalKMeans, select_level
 from .level1 import Level1Executor, run_level1
 from .level2 import Level2Executor, run_level2
 from .level3 import Level3Executor, run_level3
-from .level3_bounded import Level3BoundedExecutor, run_level3_bounded
 from .lloyd import lloyd, lloyd_single_iteration
 from .recovery import (
     RECOVERY_POLICIES,
@@ -87,7 +86,6 @@ __all__ = [
     "Level1Plan",
     "Level2Executor",
     "Level2Plan",
-    "Level3BoundedExecutor",
     "Level3Executor",
     "Level3Plan",
     "RECOVERY_POLICIES",
@@ -120,7 +118,6 @@ __all__ = [
     "run_level1",
     "run_level2",
     "run_level3",
-    "run_level3_bounded",
     "select_level",
     "spread_centroids",
     "squared_distances",

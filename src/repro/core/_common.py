@@ -224,9 +224,9 @@ def update_centroids(sums: np.ndarray, counts: np.ndarray,
                 "reseed from"
             )
         if best_d2 is None:
-            # Only executors without exact winning distances (the bounded
-            # variant keeps drifted bounds, not distances) land here, and
-            # only on the rare empty-cluster iteration.
+            # Every executor passes its exact winning distances; only a
+            # direct caller that omits them lands here, and only on the
+            # rare empty-cluster iteration.
             _, best_d2 = assign_with_distances(X, previous)
         # Farthest samples first; kind="stable" pins the order of exact
         # distance ties to the lower sample index, keeping the rule

@@ -48,12 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..runtime.engine import ExecutionEngine
 
 __all__ = [
-    "AccumulateTask",
     "FusedAssignTask",
     "PrunedAssignTask",
     "StrictL2Task",
     "StrictL3Task",
-    "accumulate_block",
     "build_pruned_tasks",
     "fused_assign_block",
     "kernel_token",
@@ -332,24 +330,3 @@ def strict_l3_block(task: StrictL3Task) -> BlockPartial:
     sums, counts = accumulate(block, idx, task.k)
     return BlockPartial(sums, counts, task.lo, task.hi, idx, best)
 
-
-class AccumulateTask:
-    """Accumulate-only block task (the bounded L3 path: labels are given)."""
-
-    __slots__ = ("x", "labels", "lo", "hi", "k")
-
-    def __init__(self, x: ArrayLike, labels: ArrayLike, lo: int, hi: int,
-                 k: int) -> None:
-        self.x = x
-        self.labels = labels
-        self.lo = int(lo)
-        self.hi = int(hi)
-        self.k = int(k)
-
-
-def accumulate_block(task: AccumulateTask) -> BlockPartial:
-    X = as_ndarray(task.x)
-    labels = as_ndarray(task.labels)
-    sums, counts = accumulate(X[task.lo:task.hi],
-                              labels[task.lo:task.hi], task.k)
-    return BlockPartial(sums, counts, task.lo, task.hi)

@@ -1,9 +1,9 @@
 """Shared triangle-inequality bound mathematics for exact k-means pruning.
 
 Every bounds-accelerated path in the repo — the Elkan/Hamerly/Yinyang
-baselines, the Hamerly-filtered :class:`~repro.core.level3_bounded.
-Level3BoundedExecutor`, and the partitioned ``kernel="pruned"`` sweep —
-relies on the same two facts:
+baselines and the ``kernel="pruned"`` sweep, which is the one Hamerly
+path of the partitioned executors at every level — relies on the same
+two facts:
 
 * a centroid that moved by ``drift[j]`` changes any point's distance to it
   by at most ``drift[j]`` (triangle inequality), so upper/lower bounds on
@@ -28,7 +28,7 @@ trivial and checkpoint-resume sound — see ``docs/invariants.md``
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,12 +44,6 @@ __all__ = [
     "group_members_of",
 ]
 
-#: A dense squared-distance routine ``(A, B) -> (len(A), len(B))`` — the
-#: direct form by default; callers with a kernel backend pass its
-#: ``pairwise_sq`` to keep their historical formulation bit-for-bit.
-SqDistFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 def centroid_drift(old_C: np.ndarray, new_C: np.ndarray) -> np.ndarray:
     """Per-centroid Euclidean movement ``|new_C[j] - old_C[j]|``.
 
@@ -60,8 +54,7 @@ def centroid_drift(old_C: np.ndarray, new_C: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(((new_C - old_C) ** 2).sum(axis=1), 0.0))
 
 
-def centroid_separation(C: np.ndarray, sq: Optional[SqDistFn] = None
-                        ) -> Tuple[np.ndarray, np.ndarray]:
+def centroid_separation(C: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Inter-centroid distances ``cc`` (diagonal +inf) and half-minima ``s``.
 
     ``s[j]`` is half the distance from centroid j to its nearest other
@@ -72,8 +65,7 @@ def centroid_separation(C: np.ndarray, sq: Optional[SqDistFn] = None
     k = C.shape[0]
     if k <= 1:
         return np.full((k, k), np.inf), np.zeros(max(k, 1))
-    d2 = squared_distances(C, C) if sq is None else sq(C, C)
-    cc = np.sqrt(np.maximum(d2, 0.0))
+    cc = np.sqrt(np.maximum(squared_distances(C, C), 0.0))
     np.fill_diagonal(cc, np.inf)
     return cc, 0.5 * cc.min(axis=1)
 

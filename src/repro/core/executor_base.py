@@ -199,10 +199,9 @@ class LevelExecutor(ABC):
         #: partials, shared arrays, durable snapshots — verify consistently.
         self.integrity = self.engine.integrity
         self.reduce = resolve_reduce(reduce)
-        #: Per-iteration inertia under the incoming centroids, stashed by
-        #: iterate() when the fused kernel already produced the winning
-        #: distances; None makes run() fall back to an explicit pass.
-        self._iter_inertia: Optional[float] = None
+        #: Per-iteration inertia under the incoming centroids, set by every
+        #: iterate() from the winning distances its sweep already produced.
+        self._iter_inertia = float("nan")
         env_default = kernel is None
         self.kernel = resolve_kernel(kernel)
         if self.strict_cpe and self.kernel.name != "naive":
@@ -279,7 +278,9 @@ class LevelExecutor(ABC):
         """One Assign+Update under the plan; returns (assignments, new_C).
 
         Implementations must charge every phase of the iteration to
-        ``self.ledger`` before returning.
+        ``self.ledger`` before returning, and set ``self._iter_inertia``
+        to the mean winning squared distance under the incoming ``C``
+        (run() records it in the iteration's history).
         """
 
     def charge_stream_phases(self, prefix: str,
@@ -338,8 +339,7 @@ class LevelExecutor(ABC):
                 f"non-finite centroids after the iteration {iteration} "
                 f"Update step", iteration=iteration,
             )
-        if self._iter_inertia is not None \
-                and not np.isfinite(self._iter_inertia):
+        if not np.isfinite(self._iter_inertia):
             raise NumericalFaultError(
                 f"non-finite inertia at iteration {iteration}",
                 iteration=iteration,
@@ -391,10 +391,9 @@ class LevelExecutor(ABC):
         state: a restored checkpoint (replan and rollback both restore
         one) rewinds the centroids, so bounds anchored to the poisoned
         trajectory would be unsound — the next iteration re-establishes
-        them from scratch.  Subclasses with additional persistent
-        acceleration state (e.g. the Hamerly bounds of Level3Bounded)
-        override this — and must call ``super()`` — to invalidate theirs
-        too.
+        them from scratch.  A subclass that adds persistent state keyed
+        to the plan or the trajectory overrides this — and must call
+        ``super()`` — to invalidate it too.
         """
         self._pruned_bounds.invalidate()
 
@@ -553,7 +552,6 @@ class LevelExecutor(ABC):
                 try:
                     if self.injector is not None:
                         self.injector.begin_iteration(it)
-                    self._iter_inertia = None
                     new_assignments, new_C = self.iterate(X, C)
                     self._check_finite(new_C, it)
                     break
@@ -569,12 +567,7 @@ class LevelExecutor(ABC):
             shift = max_centroid_shift(C, new_C)
             history.append(IterationStats(
                 iteration=it,
-                # The fused Assign+Accumulate already produced the winning
-                # distances; only executors without them (the bounded
-                # executor, whose ub is a drifted bound, not a distance)
-                # pay a fresh X - C[assignments] pass here.
-                inertia=(self._iter_inertia if self._iter_inertia is not None
-                         else inertia(X, C, new_assignments)),
+                inertia=self._iter_inertia,
                 centroid_shift=shift,
                 n_reassigned=int((new_assignments != assignments).sum()),
                 modelled_seconds=t_iter,

@@ -9,6 +9,7 @@ footprint exceeds a core group's memory pay for the full nkd partition.
 
 from __future__ import annotations
 
+import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -27,7 +28,6 @@ from .recovery import RecoveryLike, resolve_recovery
 from .level1 import Level1Executor
 from .level2 import Level2Executor
 from .level3 import Level3Executor
-from .level3_bounded import Level3BoundedExecutor
 from .lloyd import lloyd
 from .partition import plan_level1, plan_level2, plan_level3
 from .result import KMeansResult
@@ -178,8 +178,9 @@ class HierarchicalKMeans:
         Extra keyword arguments forwarded to the level executor
         (``collective_algorithm``, ``strict_cpe``, ``streaming``,
         ``overlap_dma``, ``mgroup``, ``mprime_group``,
-        ``supernode_aware``...).  ``bounded=True`` selects the
-        Hamerly-filtered Level-3 executor when level 3 runs.
+        ``supernode_aware``...).  ``bounded=True`` is a deprecated alias
+        of ``kernel="pruned"`` (the Hamerly bounds, carried at every
+        level) kept for Level-3 runs only.
 
     Examples
     --------
@@ -236,10 +237,24 @@ class HierarchicalKMeans:
         self.tol = float(tol)
         self.n_init = int(n_init)
         self.seed = seed
+        # ``bounded=True`` survives only as an alias of the pruned kernel;
+        # its Level-3 check waits for fit(), where level="auto" resolves.
+        self._bounded = bool(executor_kwargs.pop("bounded", False))
+        if self._bounded:
+            warnings.warn(
+                'bounded=True is deprecated; use kernel="pruned"',
+                DeprecationWarning, stacklevel=2)
+            if kernel is None:
+                kernel = "pruned"
         # Resolve eagerly: invalid names fail at construction, and the
         # backend instance (with its scratch buffers) is shared by every
         # restart, executor, and predict() call.
         self.kernel = resolve_kernel(kernel)
+        if self._bounded and self.kernel.name != "pruned":
+            raise ConfigurationError(
+                f"bounded=True is an alias of kernel=\"pruned\" and "
+                f"conflicts with kernel={self.kernel.name!r}"
+            )
         if (kernel is None and executor_kwargs.get("strict_cpe")
                 and self.kernel.name != "naive"):
             # Mirror the executor rule: an ambient REPRO_KERNEL default
@@ -366,9 +381,7 @@ class HierarchicalKMeans:
                   C0: np.ndarray) -> KMeansResult:
         """One run at a resolved level from explicit initial centroids."""
 
-        kwargs = dict(self.executor_kwargs)
-        bounded = kwargs.pop("bounded", False)
-        if bounded and level != 3:
+        if self._bounded and level != 3:
             raise ConfigurationError(
                 f"bounded=True requires Level 3 (bounds compose with the "
                 f"nkd partition); the resolved level is {level}"
@@ -384,6 +397,7 @@ class HierarchicalKMeans:
                          checkpoint_dir=self.checkpoint_dir,
                          resume=self.resume,
                          integrity=self.integrity)
+        kwargs = dict(self.executor_kwargs)
         kwargs.setdefault("kernel", self.kernel)
         kwargs.setdefault("engine", self.engine)
         kwargs.setdefault("reduce", self.reduce)
@@ -406,8 +420,7 @@ class HierarchicalKMeans:
             executor = Level2Executor(self.machine, **kwargs)
             return executor.run(X, C0, max_iter=self.max_iter, tol=self.tol)
         if level == 3:
-            cls = Level3BoundedExecutor if bounded else Level3Executor
-            executor = cls(self.machine, **kwargs)
+            executor = Level3Executor(self.machine, **kwargs)
             return executor.run(X, C0, max_iter=self.max_iter, tol=self.tol)
         raise ConfigurationError(  # pragma: no cover - guarded by LEVELS
             f"unsupported level {level}")

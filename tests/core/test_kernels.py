@@ -169,7 +169,6 @@ LEVEL_KWARGS = [
     pytest.param(1, {}, id="level1"),
     pytest.param(2, {}, id="level2"),
     pytest.param(3, {}, id="level3"),
-    pytest.param(3, {"bounded": True}, id="level3-bounded"),
 ]
 
 

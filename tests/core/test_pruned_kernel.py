@@ -25,11 +25,12 @@ from repro.core.bounds import BlockBounds, centroid_drift, centroid_separation
 from repro.core.checkpoint import CHECKPOINT_FILENAME
 from repro.core.kernels import GemmKernel, PrunedKernel, resolve_kernel
 from repro.core.kmeans import HierarchicalKMeans
+from repro.core.level3 import Level3Executor
 from repro.core.lloyd import lloyd
 from repro.core._common import update_centroids
-from repro.data.synthetic import gaussian_blobs
+from repro.data.synthetic import gaussian_blobs, uniform_cloud
 from repro.errors import ConfigurationError, ConvergenceWarning
-from repro.machine.machine import toy_machine
+from repro.machine.machine import Machine, toy_machine
 from repro.runtime.chaos import ChaosInjector, ChaosPlan, ChaosSpec
 from repro.runtime.engine import SerialEngine
 from repro.runtime.faults import FaultPlan, FaultSpec
@@ -228,6 +229,28 @@ class TestExecutorParity:
         assert evals[0] == 1200 * 8  # establishment sweep is dense
         assert min(evals) < 1200 * 8
         assert evals[-1] <= evals[0]
+
+    def test_level3_single_centroid(self, machine: Machine) -> None:
+        X = uniform_cloud(64, 4, seed=2)
+        executor = Level3Executor(machine, kernel="pruned")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            result = executor.run(X, X[:1].copy(), max_iter=10)
+        np.testing.assert_allclose(result.centroids[0], X.mean(axis=0))
+
+    def test_level3_streaming_equals_lloyd(self) -> None:
+        # A 4 KiB LDM cannot hold the centroid slices: the plan streams
+        # them, and the carried bounds must still give Lloyd's labels.
+        X, _ = gaussian_blobs(n=400, k=40, d=64, seed=8)
+        C0 = np.array(X[:40], copy=True)
+        small = toy_machine(n_nodes=2, cgs_per_node=2, mesh=2,
+                            ldm_bytes=4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            ref = lloyd(X, C0, max_iter=20)
+            result = Level3Executor(small, kernel="pruned",
+                                    streaming=True).run(X, C0, max_iter=20)
+        np.testing.assert_array_equal(result.assignments, ref.assignments)
 
     def test_strict_cpe_with_explicit_pruned_raises(self, machine):
         with pytest.raises(ConfigurationError, match="strict_cpe"):

@@ -4,8 +4,8 @@ The engine's contract is that it changes *scheduling only*: for the same
 block list and per-block function, the serial and thread engines (at any
 worker count) must produce bit-identical centroids, assignments, modelled
 ledger seconds, and fault-event replays.  These tests pin that contract
-across every partition level, the bounded Level-3 variant, serial Lloyd,
-and the fused/unfused kernel pair.
+across every partition level, serial Lloyd, and the fused/unfused
+kernel pair.
 """
 
 import numpy as np
@@ -175,14 +175,6 @@ def test_thread_engine_bit_identical_to_serial(level, workers):
 def test_thread_engine_bit_identical_strict_cpe(level):
     serial = _fit(level, "serial", strict_cpe=True)
     threaded = _fit(level, "thread", workers=2, strict_cpe=True)
-    np.testing.assert_array_equal(serial.centroids, threaded.centroids)
-    np.testing.assert_array_equal(serial.assignments, threaded.assignments)
-    assert serial.ledger.records == threaded.ledger.records
-
-
-def test_thread_engine_bit_identical_bounded_level3():
-    serial = _fit(3, "serial", bounded=True)
-    threaded = _fit(3, "thread", workers=2, bounded=True)
     np.testing.assert_array_equal(serial.centroids, threaded.centroids)
     np.testing.assert_array_equal(serial.assignments, threaded.assignments)
     assert serial.ledger.records == threaded.ledger.records
