@@ -104,7 +104,6 @@ def chunk_ranges(n: int, chunk: int) -> Iterator[Tuple[int, int]]:
 
 def assign_chunked(X: np.ndarray, C: np.ndarray,
                    chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-                   expanded: bool = False,
                    kernel: Optional["KernelBackend"] = None) -> np.ndarray:
     """Nearest-centroid assignment for every sample, bounded working set.
 
@@ -112,25 +111,13 @@ def assign_chunked(X: np.ndarray, C: np.ndarray,
     semantics), matching the deterministic hardware reduction trees of the
     simulated machine.
 
-    ``kernel`` (a backend name or :class:`~repro.core.kernels.KernelBackend`)
-    dispatches to the pluggable kernel layer; when None, the historical
-    direct/expanded chunked forms run here.
+    A thin dispatcher into :meth:`~repro.core.kernels.KernelBackend.assign`
+    (a backend name or instance); ``kernel=None`` is the naive direct-form
+    reference, whatever ``REPRO_KERNEL`` says.
     """
-    if kernel is not None:
-        from .kernels import resolve_kernel  # late: kernels imports _common
-        return resolve_kernel(kernel).assign(X, C, chunk_elements)
-    X, C = validate_data(X, C)
-    n, k, d = X.shape[0], C.shape[0], X.shape[1]
-    form = squared_distances_expanded if expanded else squared_distances
-    # The direct form builds a (rows, k, d) subtraction temporary, so its
-    # working set is rows*k*d — not rows*k like the expanded form's GEMM
-    # output.  Size the chunk by the term that actually binds.
-    per_row = max(k, 1) if expanded else max(k * d, 1)
-    rows = max(1, chunk_elements // per_row)
-    out = np.empty(n, dtype=np.int64)
-    for lo, hi in chunk_ranges(n, rows):
-        out[lo:hi] = np.argmin(form(X[lo:hi], C), axis=1)
-    return out
+    from .kernels import resolve_kernel  # late: kernels imports _common
+    backend = resolve_kernel("naive" if kernel is None else kernel)
+    return backend.assign(X, C, chunk_elements)
 
 
 def assign_with_distances(X: np.ndarray, C: np.ndarray,

@@ -36,6 +36,7 @@ from ..runtime.reduce import (
 from ..runtime.ledger import NullLedger, TimeLedger
 from ..runtime.supervisor import SupervisorLike, resolve_supervisor
 from ._common import (
+    DEFAULT_CHUNK_ELEMENTS,
     EMPTY_ACTIONS,
     inertia,
     max_centroid_shift,
@@ -48,6 +49,13 @@ from .checkpoint import CheckpointConfig, CheckpointStore, load_checkpoint
 from .kernels import KernelLike, resolve_kernel
 from .recovery import RecoveryLike, resolve_recovery
 from .result import IterationStats, KMeansResult
+
+
+#: Working-set bound (elements) of the host-side re-label behind the final
+#: objective: an eighth of the default.  Under the process engine the fitting
+#: process runs no Assign of its own, so a default-sized (rows, k) scratch
+#: block would be new memory in it (32 MB at k=256).
+RELABEL_CHUNK_ELEMENTS = DEFAULT_CHUNK_ELEMENTS // 8
 
 
 class LevelExecutor(ABC):
@@ -543,6 +551,7 @@ class LevelExecutor(ABC):
         assignments = np.full(X.shape[0], -1, dtype=np.int64)
         converged = False
         it = start_iteration
+        shift = np.inf
         for _ in range(start_iteration, max_iter):
             it = self.ledger.next_iteration()
             self.supervisor.begin_iteration(it)
@@ -590,12 +599,22 @@ class LevelExecutor(ABC):
                 stacklevel=2,
             )
 
+        # Final objective under the final C, by lloyd()'s rule.  At an exact
+        # fixed point (shift == 0) the held labels *are* the nearest-centroid
+        # labels of the final C.  A max_iter or tol > 0 stop halts one Update
+        # past the last Assign, so the objective re-labels against the final
+        # C on the host (charging nothing); result.assignments stays the
+        # last-Assign labels.
+        if converged and shift == 0.0:
+            labels = assignments
+        else:
+            labels = self.kernel.assign(X, C, RELABEL_CHUNK_ELEMENTS)
         if (assignments < 0).any():
             # A resume at start_iteration >= max_iter runs zero iterations;
-            # label against the restored centroids so the result is usable.
-            assignments = self.kernel.assign(X, C)
+            # the fresh labels make the result usable.
+            assignments = labels
         self.supervisor.absorb(self.engine)
-        final_inertia = inertia(X, C, assignments)
+        final_inertia = inertia(X, C, labels)
         return KMeansResult(
             centroids=C,
             assignments=assignments,

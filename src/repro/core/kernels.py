@@ -5,9 +5,15 @@ Every executor funnels its nearest-centroid arithmetic through a
 *how the partition charges modelled cost*.  Three backends ship:
 
 ``naive``
-    The direct ``sum((x - c)^2)`` form, chunked — numerically identical to
-    what the dimension-sliced hardware dataflow computes and sums, so it is
-    the reference for the fidelity/strict-CPE tests.
+    The direct ``sum((x - c)^2)`` form — numerically identical to what the
+    dimension-sliced hardware dataflow computes and sums, so it is the
+    reference for the fidelity/strict-CPE tests.  Its argmin paths find
+    the winner with a certified GEMM screen: the gemm partial form picks
+    each row's candidate, a rounding bound proves it is the direct-form
+    argmin, and only the winner's distance is evaluated in the direct
+    form.  Rows the bound cannot certify (near ties, overflow) run the
+    full chunked direct form, so every label and distance is bit-identical
+    to it.
 
 ``gemm``
     The communication-avoiding blocked formulation
@@ -187,29 +193,136 @@ class KernelBackend(ABC):
         return out
 
 
-class NaiveKernel(KernelBackend):
-    """Direct-form distances — the fidelity reference.
+def _gamma(m: int, u: float) -> float:
+    """Higham's ``gamma_m = m u / (1 - m u)``; +inf once ``m u >= 1``."""
+    return m * u / (1.0 - m * u) if m * u < 1.0 else np.inf
 
-    Matches the partitioned dimension slices bit for bit: the hardware
-    computes and sums per-dimension ``(x - c)^2`` terms, which is exactly
-    this formulation.
+
+class NaiveKernel(KernelBackend):
+    """Direct-form distances — the fidelity reference — behind a GEMM screen.
+
+    Every label and distance it reports is the direct form: the hardware
+    computes and sums per-dimension ``(x - c)^2`` terms, so
+    ``argmin_j D_j`` with ``D_j = sum((x - c_j)^2)`` (lowest index on
+    ties) is what the partitioned dimension slices produce bit for bit.
+    The argmin paths only *find* that winner faster: per chunk they argmin
+    the partial form ``G_j = |c_j|^2 - 2 x.c_j`` on the gemm kernel's
+    scratch code and keep the winner ``j*`` for every row the rounding
+    bound below certifies.  A certified row's direct-form distance is
+    evaluated for ``j*`` alone; every other row (exact or near ties,
+    non-finite partials) runs the full direct form exactly as before.
+    ``pairwise_sq`` always runs the full direct form.
+
+    **The certificate.**  For a row ``x`` let ``u`` be the unit roundoff,
+    ``s`` the smallest subnormal, ``gamma_m = m u / (1 - m u)``,
+    ``M = (|x| + max_j |c_j|)^2`` and ``P_j = |x - c_j|^2``.  Both ``P_j``
+    and ``|c_j|^2 + 2 sum_i |x_i c_ji|`` are at most ``M``, so the
+    standard dot-product bound gives, for any summation order, with or
+    without FMA, and for any BLAS blocking:
+
+    * direct form (one rounding each for the difference and the square,
+      ``d - 1`` for the sum): ``|D_j - P_j| <= gamma_{d+2} M + d s/2``;
+    * partial form (``gamma_d`` each for ``|c|^2`` and ``x.c``, an exact
+      ``* -2``, one rounding for the add):
+      ``|G_j - (P_j - |x|^2)| <= gamma_{d+1} M + 3 d s/2``.
+
+    The ``s/2`` terms cover each product that underflows (subnormal sums
+    and differences are exact).  So if every ``j != j*`` has
+    ``G_j - G_j* > tau`` with ``tau = 2 (gamma_{d+1} + gamma_{d+2}) M +
+    4 (d + 2) s``, then ``D_j > D_j*``: ``j*`` is the unique direct-form
+    argmin, whatever the tie rule.  The row compares the rounded gap
+    ``fl(G_(2) - G_j*)`` with ``tau``; rounding is monotone, so a rounded
+    gap above ``tau`` is an exact gap above it.  The computed ``tau`` is
+    doubled to absorb its own rounding and that of ``M``.  A row certifies
+    only when its ``M`` is finite; a finite ``M`` bounds every partial, so
+    overflowed (inf or NaN) partials always take the fallback.
+
+    The winner distance is ``einsum("bd,bd->b")`` over ``x - c_j*``;
+    numpy reduces each pair's d-vector with the same inner loop whatever
+    the outer shape, so it is bit-identical to the ``(b, k)`` direct-form
+    entry.  Certification is per row, so labels do not depend on chunk
+    boundaries.
     """
 
     name = "naive"
 
+    def __init__(self) -> None:
+        #: Supplies the screen's centroid norms and (thread-local) scratch.
+        self._gemm = GemmKernel()
+
     def chunk_rows(self, n: int, k: int, d: int,
                    chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> int:
-        # The direct form materialises a (rows, k, d) subtraction
+        # The direct-form fallback materialises a (rows, k, d) subtraction
         # temporary, so sizing rows by k alone would overshoot the
         # working-set bound by a factor of d.
         return max(1, chunk_elements // max(k * d, 1))
 
     def _prepare(self, C: np.ndarray, max_rows: int) -> object:
-        return None
+        gemm_ctx = self._gemm._prepare(C, max_rows)
+        c_sq, _ = gemm_ctx
+        d = C.shape[1]
+        info = np.finfo(C.dtype)
+        u = float(info.eps) / 2.0
+        # tau = rel * M + tiny: the bound above, doubled.
+        rel = 4.0 * (_gamma(d + 1, u) + _gamma(d + 2, u))
+        tiny = 8.0 * (d + 2) * float(info.smallest_subnormal)
+        return gemm_ctx, np.sqrt(c_sq.max()), rel, tiny
+
+    def _screen(self, block: np.ndarray, C: np.ndarray, ctx: object
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Partial-form argmin per row, plus the rows it certifies."""
+        gemm_ctx, c_norm, rel, tiny = ctx
+        # Overflowing partials are expected here and sent to the fallback;
+        # they must not warn where the direct form itself stays silent.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self._gemm._partial_block(block, C, gemm_ctx)
+            rows = np.arange(g.shape[0])
+            local = np.argmin(g, axis=1)
+            best = g[rows, local]
+            # The runner-up: mask the winner out of the (spent) scratch.
+            g[rows, local] = np.inf
+            gap = g.min(axis=1) - best
+            m = np.sqrt(np.einsum("bd,bd->b", block, block)) + c_norm
+            m *= m
+            ok = np.isfinite(m) & (gap > rel * m + tiny)
+        return local, ok
+
+    def certified(self, X: np.ndarray, C: np.ndarray,
+                  chunk_elements: int = DEFAULT_CHUNK_ELEMENTS
+                  ) -> np.ndarray:
+        """Per-sample flag: True where the GEMM screen certifies the label.
+
+        Diagnostic view of the fast path — the argmin paths run the full
+        direct form only for the False rows.
+        """
+        X, C = validate_data(X, C)
+        n, k = X.shape[0], C.shape[0]
+        rows = self.chunk_rows(n, k, X.shape[1], chunk_elements)
+        ctx = self._prepare(C, min(rows, n))
+        out = np.empty(n, dtype=bool)
+        for lo, hi in chunk_ranges(n, rows):
+            out[lo:hi] = self._screen(X[lo:hi], C, ctx)[1]
+        return out
 
     def _argmin_block(self, block: np.ndarray, C: np.ndarray,
                       ctx: object) -> np.ndarray:
-        return np.argmin(squared_distances(block, C), axis=1)
+        local, ok = self._screen(block, C, ctx)
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            local[rest] = np.argmin(squared_distances(block[rest], C), axis=1)
+        return local
+
+    def _argmin_best_block(self, block: np.ndarray, C: np.ndarray,
+                           ctx: object) -> Tuple[np.ndarray, np.ndarray]:
+        local, ok = self._screen(block, C, ctx)
+        diff = block - C[local]
+        best = np.einsum("bd,bd->b", diff, diff)
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            d2 = squared_distances(block[rest], C)
+            local[rest] = np.argmin(d2, axis=1)
+            best[rest] = d2[np.arange(rest.size), local[rest]]
+        return local, best
 
     def _sq_block(self, block: np.ndarray, C: np.ndarray,
                   ctx: object) -> np.ndarray:

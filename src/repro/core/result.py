@@ -36,9 +36,13 @@ class KMeansResult:
     centroids:
         Final (k, d) centroid matrix.
     assignments:
-        Final (n,) nearest-centroid index per sample.
+        (n,) centroid index per sample from the last Assign step; one
+        Update stale against ``centroids`` after a ``max_iter`` or
+        ``tol > 0`` stop.
     inertia:
         Final objective O(C) — mean squared distance to assigned centroid.
+        ``lloyd`` and the Level 1-3 executors label against ``centroids``
+        for it whenever ``assignments`` may be stale.
     n_iter:
         Iterations executed.
     converged:

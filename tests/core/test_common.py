@@ -1,5 +1,7 @@
 """Tests for the shared numerical kernels."""
 
+from typing import Tuple
+
 import numpy as np
 import pytest
 
@@ -117,13 +119,23 @@ class TestAssignment:
         np.testing.assert_array_equal(a, b)
 
     def test_expanded_kernel_option(self, data):
+        # The expanded |x|^2 - 2 x.c + |c|^2 form runs as the gemm kernel.
         X, C = data
         np.testing.assert_array_equal(
-            assign_chunked(X, C, expanded=True), assign_chunked(X, C))
+            assign_chunked(X, C, kernel="gemm"), assign_chunked(X, C))
 
     def test_single_centroid(self, data):
         X, _ = data
         assert set(assign_chunked(X, X[:1])) == {0}
+
+    def test_default_ignores_kernel_env(
+            self, data: Tuple[np.ndarray, np.ndarray],
+            monkeypatch: pytest.MonkeyPatch) -> None:
+        # kernel=None is the naive reference, never the REPRO_KERNEL default.
+        X, C = data
+        monkeypatch.setenv("REPRO_KERNEL", "blas3000")
+        np.testing.assert_array_equal(
+            assign_chunked(X, C), np.argmin(squared_distances(X, C), axis=1))
 
     def test_assign_with_distances(self, data):
         X, C = data

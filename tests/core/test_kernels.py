@@ -1,18 +1,25 @@
 """Kernel-backend and ledger-observer seams.
 
-Two invariants hold across the whole executor stack:
+Three invariants hold across the whole executor stack:
 
+* the ``naive`` backend's GEMM screen is invisible: its labels and winner
+  distances are bit-identical to the full direct form, on adversarial
+  data too (lattice ties, duplicate centroids, subnormal and overflowing
+  scales);
 * the ``gemm`` backend produces the same assignments (and inertias within
   1e-9) as the ``naive`` reference on every level, for arbitrary (n, k, d);
 * ``model_costs=False`` (NullLedger) changes nothing about the numerics —
   identical centroids and assignments, just no time ledger.
 """
 
+from typing import Optional, Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core._common import accumulate, inertia, squared_distances
 from repro.core.kernels import (
     KERNELS,
     GemmKernel,
@@ -23,8 +30,9 @@ from repro.core.kernels import (
 )
 from repro.core.kmeans import HierarchicalKMeans
 from repro.core.lloyd import lloyd
+from repro.data.synthetic import gaussian_blobs
 from repro.errors import ConfigurationError
-from repro.machine.machine import toy_machine
+from repro.machine.machine import Machine, toy_machine
 from repro.runtime.ledger import LedgerProtocol, NullLedger, TimeLedger
 
 
@@ -162,6 +170,152 @@ class TestBackendParity:
 
 
 # ---------------------------------------------------------------------------
+# Naive kernel: the certified GEMM screen against the direct form
+# ---------------------------------------------------------------------------
+
+def _direct_reference(X, C):
+    """The full direct form: argmin of squared_distances and its entries."""
+    d2 = squared_distances(np.ascontiguousarray(X), C)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(X.shape[0]), labels]
+
+
+@st.composite
+def _adversarial_case(draw):
+    """(X, C) built to break a wrong certificate: ties, scales, layouts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    k = draw(st.sampled_from([1, 2, 3, 7, 16]))
+    d = draw(st.sampled_from([1, 2, 3, 8, 29]))
+    if draw(st.booleans()):
+        # Integer lattice: exact ties between distinct centroids abound.
+        X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        C = rng.integers(-2, 3, size=(k, d)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, d))
+        C = rng.normal(size=(k, d))
+    if draw(st.booleans()):
+        # Duplicate centroids (rows drawn with replacement), and a
+        # centroid sitting on a sample.
+        C = C[rng.integers(0, k, size=k)]
+        C[0] = X[0]
+    if draw(st.booleans()):
+        # Near ties below the partial form's resolution: nudged centroids
+        # far from the origin, where |c|^2 - 2 x.c cancels catastrophically.
+        C = C + rng.normal(scale=1e-9, size=C.shape) + 1e3
+        X = X + 1e3
+    # One global scale from subnormal (1e-310) to overflowing partials
+    # (|x|.|c| ~ 1e320 > max float), then optional per-row magnitudes.
+    scale = 10.0 ** draw(st.one_of(
+        st.sampled_from([-310.0, -300.0, 150.0, 155.0]),
+        st.floats(-165.0, -150.0),  # products of ~1e-320 are subnormal
+        st.floats(-310.0, 160.0)))
+    X, C = X * scale, C * scale
+    if draw(st.booleans()):
+        X *= 10.0 ** rng.uniform(-30.0, 30.0, size=(n, 1))
+    if draw(st.booleans()):
+        C *= 10.0 ** rng.uniform(-160.0, 0.0, size=(k, 1))
+    if draw(st.booleans()):
+        # Non-contiguous input: every other row of a wider buffer.
+        wide = np.zeros((2 * n, d))
+        wide[::2] = X
+        X = wide[::2]
+    return X, C
+
+
+class TestNaiveCertificate:
+    """Each test here fails for a certificate that is wrong or idle."""
+
+    @given(case=_adversarial_case(), chunk=st.sampled_from([1, 64, None]))
+    @settings(max_examples=200, deadline=None)
+    def test_argmin_paths_match_direct_form(
+            self, case: Tuple[np.ndarray, np.ndarray],
+            chunk: Optional[int]) -> None:
+        X, C = case
+        kernel = NaiveKernel()
+        args = () if chunk is None else (chunk * C.shape[0] * C.shape[1],)
+        ref_labels, ref_best = _direct_reference(X, C)
+        ref_sums, ref_counts = accumulate(X, ref_labels, C.shape[0])
+        np.testing.assert_array_equal(kernel.assign(X, C, *args), ref_labels)
+        labels, best = kernel.assign_with_distances(X, C, *args)
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(best.view(np.uint64),
+                                      ref_best.view(np.uint64))
+        labels, best, sums, counts = kernel.assign_accumulate(X, C, *args)
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(best.view(np.uint64),
+                                      ref_best.view(np.uint64))
+        np.testing.assert_array_equal(sums, ref_sums)
+        np.testing.assert_array_equal(counts, ref_counts)
+
+    @pytest.mark.parametrize("d", [*range(1, 81), 127, 128, 129, 196,
+                                   255, 256, 257, 1000])
+    def test_winner_einsum_matches_direct_entry(self, d: int) -> None:
+        # The certified path reports einsum("bd,bd->b") over x - c_j*; it
+        # must equal the (b, k, d) direct-form entry bit for bit, whatever
+        # the block's shape or alignment.
+        rng = np.random.default_rng(d)
+        for k in (1, 3, 17):
+            C = rng.normal(size=(k, d))
+            for b in (1, 5, 64):
+                flat = rng.normal(size=b * d + 1)
+                for block in (flat[:-1].reshape(b, d),    # aligned
+                              flat[1:].reshape(b, d)):    # 8-byte offset
+                    full = squared_distances(block, C)
+                    for j in range(k):
+                        diff = block - C[np.full(b, j)]
+                        np.testing.assert_array_equal(
+                            np.einsum("bd,bd->b", diff, diff).view(np.uint64),
+                            full[:, j].view(np.uint64))
+
+    def test_fast_path_certifies_blobs(self) -> None:
+        # Well-separated data must take the fast path; a certificate that
+        # never certifies would pass every parity test, only slower.
+        X, _ = gaussian_blobs(n=20_000, k=64, d=32, seed=5)
+        C = X[:64].copy()
+        assert NaiveKernel().certified(X, C).mean() >= 0.99
+
+    def test_subnormal_products_match_direct_form(self) -> None:
+        # Products near 1e-320 are subnormal, so their absolute rounding
+        # error dwarfs any relative bound; only tau's absolute term keeps
+        # these rows off the fast path.
+        rng = np.random.default_rng(7)
+        kernel = NaiveKernel()
+        for _ in range(300):
+            X = rng.integers(-2, 3, size=(20, 3)).astype(np.float64)
+            C = rng.integers(-2, 3, size=(7, 3)).astype(np.float64)
+            scale = 10.0 ** rng.uniform(-165.0, -150.0)
+            X, C = X * scale, C * scale
+            np.testing.assert_array_equal(kernel.assign(X, C),
+                                          _direct_reference(X, C)[0])
+
+    def test_ties_are_not_certified(self) -> None:
+        # Equidistant centroids: the screen must defer to the direct form,
+        # whose tie rule (lowest index) then decides.
+        X = np.zeros((4, 3))
+        C = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
+        kernel = NaiveKernel()
+        assert not kernel.certified(X, C).any()
+        np.testing.assert_array_equal(kernel.assign(X, C), [0, 0, 0, 0])
+
+    def test_overflowing_rows_are_not_certified(self) -> None:
+        # |x|.|c| ~ 1e320 overflows the partial form to inf/NaN; with
+        # centroids of mixed magnitude a row can keep one finite partial
+        # while every direct-form distance is inf (so index 0 wins).
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(50, 4)) * 1e160
+        C = rng.normal(size=(5, 4)) * 1e160
+        C[1:3] *= 1e-160
+        kernel = NaiveKernel()
+        assert not kernel.certified(X, C).any()
+        labels, best = _direct_reference(X, C)
+        np.testing.assert_array_equal(kernel.assign(X, C), labels)
+        idx, d2 = kernel.assign_with_distances(X, C)
+        np.testing.assert_array_equal(idx, labels)
+        np.testing.assert_array_equal(d2, best)
+
+
+# ---------------------------------------------------------------------------
 # Whole-stack parity: every level, both backends
 # ---------------------------------------------------------------------------
 
@@ -222,6 +376,36 @@ class TestExecutorKernelParity:
         np.testing.assert_array_equal(
             model.predict(blobs),
             NaiveKernel().assign(blobs, model.result_.centroids))
+
+
+class TestFinalObjective:
+    """``result.inertia`` is O(C) of the final centroids at every level.
+
+    A max_iter stop halts one Update past the last Assign, so the held
+    labels are stale against the final C; the executors re-label on the
+    host for the objective, exactly like lloyd().
+    """
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_max_iter_stop_reports_true_objective(
+            self, machine: Machine, blobs: np.ndarray, level: int,
+            kernel: str) -> None:
+        C0 = blobs[:8].copy()
+        model = HierarchicalKMeans(8, machine=machine, level=level,
+                                   init=C0, max_iter=3, kernel=kernel)
+        with pytest.warns(Warning, match="did not converge"):
+            result = model.fit(blobs)
+        assert not result.converged
+        backend = resolve_kernel(kernel)
+        fresh = backend.assign(blobs, result.centroids)
+        # reprolint: disable=D104 -- the objective *is* a fresh re-label, bit for bit
+        assert result.inertia == inertia(blobs, result.centroids, fresh)
+        # result.assignments stays the last-Assign labels.
+        assert not np.array_equal(result.assignments, fresh)
+        with pytest.warns(Warning, match="did not converge"):
+            oracle = lloyd(blobs, C0, max_iter=3, kernel=kernel)
+        assert abs(result.inertia - oracle.inertia) <= 1e-12 * oracle.inertia
 
 
 # ---------------------------------------------------------------------------
