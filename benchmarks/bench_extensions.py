@@ -8,7 +8,6 @@ from repro.core.init import init_centroids
 from repro.core.lloyd import lloyd
 from repro.data.synthetic import gaussian_blobs
 from repro.experiments import run_experiment
-from repro.runtime.host import lloyd_parallel
 
 
 def test_extra_weak_scaling(benchmark):
@@ -61,7 +60,8 @@ class TestBaselineSpeed:
 
     def test_lloyd_host_parallel(self, benchmark):
         X, C0 = self._workload()
-        result = benchmark(lloyd_parallel, X, C0, max_iter=30, n_workers=2)
+        result = benchmark(lloyd, X, C0, max_iter=30, engine="process",
+                           workers=2)
         assert result.converged
 
 

@@ -25,7 +25,6 @@ from repro.core.metrics import (
 )
 from repro.data import gaussian_blobs
 from repro.reporting import format_table, render_trace
-from repro.runtime.host import lloyd_parallel
 
 
 def main() -> None:
@@ -39,7 +38,8 @@ def main() -> None:
         ("Hamerly", lambda: hamerly(X, C0, max_iter=60)),
         ("Yinyang", lambda: yinyang(X, C0, max_iter=60)),
         ("Lloyd (host-parallel)",
-         lambda: (lloyd_parallel(X, C0, max_iter=60, n_workers=2), None)),
+         lambda: (lloyd(X, C0, max_iter=60, engine="process", workers=2),
+                  None)),
     ]:
         t0 = time.perf_counter()
         result, stats = runner()

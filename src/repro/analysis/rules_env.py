@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Set
+from typing import Iterator, List
 
 from .reprolint import Finding, LintContext, Rule, dotted_name, register_rule
 
@@ -146,105 +146,6 @@ class SwallowedFaultError(Rule):
                         "broad except swallows FaultError: add an earlier "
                         "`except FaultError: raise` arm (or re-raise) so "
                         "modelled faults reach the recovery policies")
-
-
-def _unwrap_partial(node: ast.AST) -> ast.AST:
-    """Peel ``functools.partial(fn, ...)`` down to the wrapped callable."""
-    while isinstance(node, ast.Call) and node.args \
-            and dotted_name(node.func).rsplit(".", 1)[-1] == "partial":
-        node = node.args[0]
-    return node
-
-
-def _is_engine_task_call(node: ast.Call) -> bool:
-    """A ``<...>.engine.map(...)`` / ``<...>.engine.map_reduce(...)`` call."""
-    return (isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("map", "map_reduce")
-            and dotted_name(node.func.value).rsplit(".", 1)[-1] == "engine")
-
-
-@register_rule
-class UnpicklableEngineCallable(Rule):
-    """E404: engine task callables must be module-level (picklable)."""
-
-    id = "E404"
-    name = "unpicklable-engine-callable"
-    summary = ("callables handed to engine.map / engine.map_reduce must be "
-               "module-level functions (functools.partial over one is fine); "
-               "lambdas and nested defs cannot pickle to process-engine "
-               "workers")
-    scopes = ("core", "runtime")
-
-    def _local_callables(self, ctx: LintContext) -> Set[str]:
-        """Names bound to lambdas or to functions nested inside another.
-
-        A bounded fixpoint follows one-hop rebindings (``fn =
-        functools.partial(<lambda>, 2)``; ``alias = fn``) so wrapping an
-        unpicklable callable does not hide it from the rule.
-        """
-        local: Set[str] = set()
-        for outer in ast.walk(ctx.tree):
-            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for inner in ast.walk(outer):
-                if inner is not outer and isinstance(
-                        inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    local.add(inner.name)
-        for _ in range(4):  # bounded fixpoint over rebinding chains
-            grew = False
-            for node in ast.walk(ctx.tree):
-                value: "ast.AST | None"
-                if isinstance(node, ast.Assign):
-                    value, targets = node.value, node.targets
-                elif isinstance(node, ast.AnnAssign):
-                    value, targets = node.value, [node.target]
-                else:
-                    continue
-                if value is None:
-                    continue
-                value = _unwrap_partial(value)
-                tainted = isinstance(value, ast.Lambda) \
-                    or (isinstance(value, ast.Name) and value.id in local)
-                if not tainted:
-                    continue
-                for target in targets:
-                    for name in _assigned_names(target):
-                        if name not in local:
-                            local.add(name)
-                            grew = True
-            if not grew:
-                break
-        return local
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        local = self._local_callables(ctx)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) \
-                    or not _is_engine_task_call(node) or not node.args:
-                continue
-            fn = _unwrap_partial(node.args[0])
-            if isinstance(fn, ast.Lambda):
-                yield ctx.finding(
-                    self, fn,
-                    "lambda passed as an engine task; lambdas cannot pickle "
-                    "to process-engine workers — hoist it to a module-level "
-                    "function (wrap bound state in functools.partial)")
-            elif isinstance(fn, ast.Name) and fn.id in local:
-                yield ctx.finding(
-                    self, fn,
-                    f"`{fn.id}` is a nested def (or a name bound to a "
-                    f"lambda); its qualname cannot pickle to process-engine "
-                    f"workers — hoist it to module level and carry bound "
-                    f"state via functools.partial or the task objects")
-
-
-def _assigned_names(target: ast.AST) -> Iterator[str]:
-    """Plain names bound by an assignment target (tuples unpacked)."""
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _assigned_names(element)
 
 
 _NPZ_IO_CALLS = frozenset({"np.load", "np.savez", "np.savez_compressed",

@@ -3,11 +3,10 @@
 Every per-file flagship rule has a function-boundary hole: D106 loses an
 ``engine.map`` result the moment it passes through a helper, L201 cannot
 see a ledger charge two calls deep inside a task body, E401 misses
-``from os import environ`` aliases and accessor-returned mappings, E404
-misses a lambda that arrives through a factory or a parameter, and D103
-flags iteration *sites* rather than where the unordered value actually
-lands.  The W rules upgrade each of them to whole-program analyses on
-top of :mod:`repro.analysis.project` (module/call graph) and
+``from os import environ`` aliases and accessor-returned mappings, and
+D103 flags iteration *sites* rather than where the unordered value
+actually lands.  The W rules upgrade each of them to whole-program
+analyses on top of :mod:`repro.analysis.project` (module/call graph) and
 :mod:`repro.analysis.dataflow` (forward taint):
 
 * ``W601`` — ``engine.map`` partials reaching a manual accumulation in
@@ -16,8 +15,8 @@ top of :mod:`repro.analysis.project` (module/call graph) and
   callable handed to ``engine.map``/``map_reduce`` (L201),
 * ``W603`` — ``os.environ``/``os.getenv`` reads outside ``envvars.py``
   through aliases or wrapper-returned mappings (E401/E402),
-* ``W604`` — unpicklable callables flowing into the engine seam through
-  variables, partials, factories, or wrapper parameters (E404),
+* ``W604`` — unpicklable callables reaching the engine seam directly or
+  through variables, partials, factories, or wrapper parameters,
 * ``W605`` — dict/set iteration order flowing into committed centroid or
   ledger state (D103, flow-sensitive).
 
@@ -285,15 +284,15 @@ def _seed_unpicklable_value(project: Project, func: FuncSummary,
 
 @register_rule
 class FlowingUnpicklableCallable(ProjectRule):
-    """W604: E404 through variables, factories, and parameters."""
+    """W604: engine task callables must pickle, however they arrive."""
 
     id = "W604"
     name = "flowing-unpicklable-callable"
     summary = ("lambdas and nested defs must not reach engine.map / "
-               "map_reduce / reduce_partials through variables, "
-               "functools.partial chains, factory returns, or wrapper-"
-               "function parameters; they cannot pickle to process-engine "
-               "workers (interprocedural E404)")
+               "map_reduce / reduce_partials, directly or through "
+               "variables, functools.partial chains, factory returns, or "
+               "wrapper-function parameters; they cannot pickle to "
+               "process-engine workers")
     scopes = ("core", "runtime")
 
     def check_project(self, project: Project) -> Iterator[Finding]:

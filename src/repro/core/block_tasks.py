@@ -21,18 +21,34 @@ small picklable task records plus module-level functions over them:
   pickle, so workers re-resolve the name against a per-process cache
   instead.
 
-Reprolint rule E404 enforces the discipline statically: callables passed
-to ``engine.map``/``map_reduce`` must be module-level, like the
-``*_block`` functions here.
+:func:`map_assign` is the one place a Lloyd iteration reaches the engine:
+``lloyd`` and the Level 1–3 executors all fan their Assign step out
+through it.  Reprolint rule W604 enforces the discipline statically:
+callables reaching ``engine.map``/``map_reduce`` must be module-level,
+like the ``*_block`` functions here.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from ..runtime.reduce import BlockPartial, PrunedPartial
+from ..runtime.reduce import (
+    BlockPartial,
+    PrunedPartial,
+    ReduceTopology,
+    scatter_labels,
+)
 from ..runtime.shm import ArrayLike, as_ndarray
 from ._common import accumulate, squared_distances
 from .bounds import BlockBounds, centroid_drift, centroid_separation
@@ -52,9 +68,10 @@ __all__ = [
     "PrunedAssignTask",
     "StrictL2Task",
     "StrictL3Task",
-    "build_pruned_tasks",
+    "StrictTasks",
     "fused_assign_block",
     "kernel_token",
+    "map_assign",
     "pruned_assign_block",
     "strict_l2_assign",
     "strict_l3_assign",
@@ -191,36 +208,74 @@ def pruned_assign_block(task: PrunedAssignTask) -> PrunedPartial:
                          lb=lb, n_dist=n_dist)
 
 
-def build_pruned_tasks(engine: "ExecutionEngine", backend: KernelBackend,
-                       X: np.ndarray,
-                       C: np.ndarray, blocks: Sequence[Tuple[int, int]],
-                       bounds: BlockBounds,
-                       chunk_elements: Optional[int] = None
-                       ) -> List["PrunedAssignTask"]:
-    """The per-block task list of one pruned iteration.
+#: What Levels 2 and 3 hand :func:`map_assign` for a strict-CPE sweep: the
+#: module-level block function and a factory building its task record
+#: from ``(x, c, lo, hi)``.
+StrictTasks = Tuple[Callable[[Any], BlockPartial],
+                    Callable[[ArrayLike, ArrayLike, int, int], Any]]
 
-    Shares the operands (and, when the carried state is valid, the three
-    full-length bound arrays) through the engine, computes the drift
-    against the bounds' anchor and the centroid half-separations once
-    host-side, and returns one :class:`PrunedAssignTask` per block — the
-    same block boundaries the unpruned path would use, so the task-id
-    stream (and with it every chaos/fault replay) is unchanged.
+
+def map_assign(engine: "ExecutionEngine", kernel: KernelBackend,
+               X: np.ndarray, C: np.ndarray,
+               blocks: Sequence[Tuple[int, int]],
+               topology: Optional[ReduceTopology],
+               bounds: Optional[BlockBounds] = None,
+               strict: Optional[StrictTasks] = None,
+               chunk_elements: Optional[int] = None
+               ) -> Tuple[Any, List[Any], np.ndarray, np.ndarray]:
+    """One Assign+Accumulate sweep over ``blocks``, fanned out on ``engine``.
+
+    The only engine call of a Lloyd iteration: ``lloyd`` passes its
+    kernel's chunk ranges, the executors their plan's sample blocks and
+    reduction topology.  Shares ``X`` and ``C``, builds one task per
+    block — pruned when ``bounds`` is given, strict-CPE when ``strict``
+    is, fused otherwise — merges the partials under ``topology``, and
+    scatters the labels and winning squared distances in block order.
+    The task list and the merge schedule are functions of ``blocks`` and
+    ``topology`` alone, so the result is bit-identical across engines and
+    worker counts.
+
+    ``bounds`` is only read: the partials carry the fresh lower bounds,
+    and the caller commits them once its iteration can no longer fault.
+    Returns ``(merged, partials, labels, best_d2)``.
     """
+    n = X.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    best_d2 = np.empty(n, dtype=X.dtype)
+    # Publish the operands once per call (identity makes the X re-publish
+    # free across iterations); under the in-process engines share() is the
+    # array itself and the tasks see it by reference.
     x_ref = engine.share("X", X)
     c_ref = engine.share("C", C)
-    token = kernel_token(backend)
-    if not bounds.valid:
-        return [PrunedAssignTask(x_ref, c_ref, None, None, None, None, None,
-                                 lo, hi, token, chunk_elements)
-                for lo, hi in blocks]
-    drift = centroid_drift(bounds.anchor, C)
-    _, s = centroid_separation(C)
-    labels_ref = engine.share("pruned_labels", bounds.labels)
-    d2_ref = engine.share("pruned_d2", bounds.d2)
-    lb_ref = engine.share("pruned_lb", bounds.lb)
-    return [PrunedAssignTask(x_ref, c_ref, labels_ref, d2_ref, lb_ref,
-                             drift, s, lo, hi, token, chunk_elements)
-            for lo, hi in blocks]
+    token = kernel_token(kernel)
+    fn: Callable[[Any], BlockPartial]
+    tasks: List[Any]
+    if strict is not None:
+        fn, make_task = strict
+        tasks = [make_task(x_ref, c_ref, lo, hi) for lo, hi in blocks]
+    elif bounds is None:
+        fn = fused_assign_block
+        tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token, chunk_elements)
+                 for lo, hi in blocks]
+    else:
+        fn = pruned_assign_block
+        # No carried state marks an establishment sweep.
+        carried: Tuple[Any, ...] = (None,) * 5
+        if bounds.valid:
+            # The three full-length bound arrays travel like X; the
+            # k-sized drift and half-separations ride inline.
+            drift = centroid_drift(bounds.anchor, C)
+            _, s = centroid_separation(C)
+            carried = (engine.share("pruned_labels", bounds.labels),
+                       engine.share("pruned_d2", bounds.d2),
+                       engine.share("pruned_lb", bounds.lb), drift, s)
+        tasks = [PrunedAssignTask(x_ref, c_ref, *carried, lo, hi, token,
+                                  chunk_elements)
+                 for lo, hi in blocks]
+    merged, partials = engine.map_reduce(fn, tasks, topology=topology,
+                                         return_partials=True)
+    scatter_labels(partials, labels, best_d2)
+    return merged, partials, labels, best_d2
 
 
 def strict_l2_assign(block: np.ndarray, C: np.ndarray,

@@ -123,7 +123,7 @@ class BlockBounds:
     ``d2``
         the *exact* squared distance to the assigned centroid — computed
         by the row-independent winner routine, so it is bit-identical to
-        what the unpruned gemm sweep reports,
+        what the unpruned gemm sweep reports for the same label,
     ``lb``
         a lower bound on the distance to the second-closest centroid,
     ``anchor``

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from ._common import (
     update_centroids,
     validate_data,
 )
-from .block_tasks import build_pruned_tasks, pruned_assign_block
+from .block_tasks import StrictTasks, map_assign
 from .bounds import BlockBounds
 from .checkpoint import CheckpointConfig, CheckpointStore, load_checkpoint
 from .kernels import KernelLike, resolve_kernel
@@ -285,10 +285,11 @@ class LevelExecutor(ABC):
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """One Assign+Update under the plan; returns (assignments, new_C).
 
-        Implementations must charge every phase of the iteration to
-        ``self.ledger`` before returning, and set ``self._iter_inertia``
-        to the mean winning squared distance under the incoming ``C``
-        (run() records it in the iteration's history).
+        Implementations run their Assign sweep through
+        :meth:`_map_assign` (which sets ``self._iter_inertia``, the mean
+        winning squared distance under the incoming ``C`` that run()
+        records in the iteration's history) and must charge every phase
+        of the iteration to ``self.ledger`` before returning.
         """
 
     def charge_stream_phases(self, prefix: str,
@@ -353,29 +354,31 @@ class LevelExecutor(ABC):
                 iteration=iteration,
             )
 
-    # -- pruned kernel plumbing ----------------------------------------------------
+    # -- Assign fan-out ------------------------------------------------------------
 
-    def _pruned_map_reduce(self, X: np.ndarray, C: np.ndarray,
-                           blocks: Sequence[Tuple[int, int]],
-                           topology: Optional[ReduceTopology] = None):
-        """Map/reduce one pruned iteration over the plan's sample blocks.
+    def _map_assign(self, X: np.ndarray, C: np.ndarray,
+                    blocks: Sequence[Tuple[int, int]],
+                    topology: Optional[ReduceTopology],
+                    strict: Optional[StrictTasks] = None
+                    ) -> Tuple[Any, List[Any], np.ndarray, np.ndarray]:
+        """This executor's Assign sweep over the plan's sample blocks.
 
-        Same block boundaries and reduction topology as the unpruned
-        path — the task-id stream, and with it every chaos plan and
-        fault replay, is unchanged.  Returns ``(merged, partials)``; the
-        partials carry per-block labels, exact winning distances, fresh
-        lower bounds, and the actual distance-evaluation counts.
+        Runs :func:`~repro.core.block_tasks.map_assign` — carrying the
+        pruned kernel's bound state when that kernel is active — and sets
+        ``_iter_inertia`` from the winning distances.  Returns
+        ``(merged, partials, assignments, best_d2)``.
         """
-        tasks = build_pruned_tasks(self.engine, self.kernel, X, C, blocks,
-                                   self._pruned_bounds)
-        return self.engine.map_reduce(
-            pruned_assign_block, tasks,
-            topology=self.reduce if topology is None else topology,
-            return_partials=True)
+        bounds = self._pruned_bounds if self.kernel.name == "pruned" \
+            else None
+        merged, partials, assignments, best_d2 = map_assign(
+            self.engine, self.kernel, X, C, blocks, topology,
+            bounds=bounds, strict=strict)
+        self._iter_inertia = float(best_d2.sum() / X.shape[0])
+        return merged, partials, assignments, best_d2
 
     def _commit_pruned_state(self, C: np.ndarray, assignments: np.ndarray,
-                             best_d2: np.ndarray,
-                             partials: Sequence) -> None:
+                             best_d2: np.ndarray, merged: Any,
+                             partials: Sequence[Any]) -> None:
         """Adopt one pruned iteration's outputs as the carried bound state.
 
         Must be the *last* act of ``iterate()`` — after every fault-prone
@@ -387,8 +390,7 @@ class LevelExecutor(ABC):
         lb = np.empty(assignments.shape[0], dtype=np.float64)
         scatter_bounds(partials, lb)
         self._pruned_bounds.commit(C, assignments, best_d2, lb)
-        self.pruned_evals_per_iteration.append(
-            sum(int(p.n_dist) for p in partials))
+        self.pruned_evals_per_iteration.append(int(merged.n_dist))
 
     # -- fault handling ------------------------------------------------------------
 

@@ -32,7 +32,11 @@ Every executor funnels its nearest-centroid arithmetic through a
     only the surviving candidates pay the blocked GEMM.  Bit-identical
     to ``gemm`` — centroids, labels, and inertia — because every reported
     distance comes from the same row-independent winner routine and
-    skipped points provably cannot change assignment.
+    skipped points cannot change assignment in exact arithmetic.  The
+    exception is a near tie that binary floating point cannot represent
+    (decimal coordinates such as ``0.001``): the skip test carries no
+    rounding margin, and gemm's own argmin there depends on the block
+    shape, so the two can pick different winners (ROADMAP item 1).
 
 Backends are selected with ``HierarchicalKMeans(..., kernel="gemm")`` (or
 per-executor via ``Level3Executor(machine, kernel="gemm")``), with the
@@ -439,9 +443,12 @@ class PrunedKernel(GemmKernel):
         value still holds), drift the lower bound by the worst centroid
         movement, and run the k-wide GEMM only for candidates whose
         upper bound fails Hamerly's test ``ub < max(s[a], lb)``.  Skipped
-        points provably keep their assignment, and every reported
-        distance comes from the shared winner routine, so labels, sums,
-        and inertia are bit-identical to the unpruned gemm sweep.
+        points keep their assignment in exact arithmetic, and every
+        reported distance comes from the shared winner routine, so
+        labels, sums, and inertia are bit-identical to the unpruned gemm
+        sweep — except on floating-point near ties, where the margin-free
+        skip test can keep a winner gemm would replace (see the module
+        docstring).
 
     Both return the actual number of point-centroid distance evaluations
     (``n_dist``) so the executors can charge the ledger for work done,

@@ -22,9 +22,7 @@ from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
 from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
-from ..runtime.reduce import scatter_labels
 from ..runtime.regcomm import RegisterComm
-from .block_tasks import FusedAssignTask, fused_assign_block, kernel_token
 from .executor_base import LevelExecutor
 from .partition import Level1Plan, plan_level1
 from .result import KMeansResult
@@ -87,43 +85,24 @@ class Level1Executor(LevelExecutor):
     def iterate(self, X: np.ndarray, C: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:
         plan = self.plan
-        n, d = X.shape
+        d = X.shape[1]
         k = C.shape[0]
         item = self._itemsize
         assert self._comm is not None
 
-        assignments = np.empty(n, dtype=np.int64)
-        best_d2 = np.empty(n, dtype=X.dtype)
-
         # ---- Assign phase: fully parallel over active CPEs ----
         # The per-unit numerics (fused assign + accumulate) fan out over the
-        # host execution engine as module-level block tasks (picklable, so
-        # the process engine can ship them; operands travel by share()).
-        # The merge mirrors the hardware hierarchy: partials reduce within
-        # each CG first, then across CGs in sorted-CG order — a grouped
-        # topology whose schedule depends only on the unit layout, so the
-        # result is engine-independent; labels scatter back in fixed unit
-        # order.
+        # host execution engine, one block task per unit.  The merge
+        # mirrors the hardware hierarchy: partials reduce within each CG
+        # first, then across CGs in sorted-CG order — a grouped topology
+        # whose schedule depends only on the unit layout, so the result is
+        # engine-independent.
         pruned = self.kernel.name == "pruned"
         topology = self.reduce.for_groups(
             [self._units_by_cg[cg] for cg in sorted(self._units_by_cg)])
-        if pruned:
-            # Same block boundaries and topology; the tasks additionally
-            # carry the per-sample bound state (see executor_base).
-            merged, partials = self._pruned_map_reduce(
-                X, C, plan.sample_blocks, topology)
-        else:
-            x_ref = self.engine.share("X", X)
-            c_ref = self.engine.share("C", C)
-            token = kernel_token(self.kernel)
-            tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token)
-                     for lo, hi in plan.sample_blocks]
-            merged, partials = self.engine.map_reduce(
-                fused_assign_block, tasks, topology=topology,
-                return_partials=True)
+        merged, partials, assignments, best_d2 = self._map_assign(
+            X, C, plan.sample_blocks, topology)
         global_sums, global_counts = merged.sums, merged.counts
-        scatter_labels(partials, assignments, best_d2)
-        self._iter_inertia = float(best_d2.sum() / n)
 
         # ---- cost model (fixed CG/unit order, independent of the engine) ----
         if self.model_costs:
@@ -189,7 +168,8 @@ class Level1Executor(LevelExecutor):
         if pruned:
             # Last act of the iteration — after every fault-prone charge —
             # so a faulted iteration never half-commits bound state.
-            self._commit_pruned_state(C, assignments, best_d2, partials)
+            self._commit_pruned_state(C, assignments, best_d2, merged,
+                                      partials)
         return assignments, new_C
 
 

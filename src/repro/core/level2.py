@@ -15,6 +15,7 @@ cores are added.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
@@ -24,16 +25,8 @@ from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
 from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
-from ..runtime.reduce import scatter_labels
 from ..runtime.regcomm import RegisterComm
-from .block_tasks import (
-    FusedAssignTask,
-    StrictL2Task,
-    fused_assign_block,
-    kernel_token,
-    strict_l2_assign,
-    strict_l2_block,
-)
+from .block_tasks import StrictL2Task, strict_l2_block
 from .executor_base import LevelExecutor
 from .partition import Level2Plan, plan_level2
 from .result import KMeansResult
@@ -96,76 +89,33 @@ class Level2Executor(LevelExecutor):
 
     # -- one iteration ------------------------------------------------------------
 
-    def _assign_block(self, block: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """Assignment of one group's block, strict or fast path.
-
-        Strict mode mirrors the hardware dataflow: each member CPE computes
-        distances over its centroid slice and a slice-local argmin (line 9's
-        a(i)'), then a MINLOC reduction (line 10) combines the mgroup partial
-        winners.  Fast mode computes the same argmin in one vectorised pass.
-        """
-        if not self.strict_cpe:
-            return self.kernel.assign(block, C)
-        return self._strict_assign_block(block, C)[0]
-
-    def _strict_assign_block(self, block: np.ndarray, C: np.ndarray
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Strict dataflow winner (index, squared distance) per sample.
-
-        The math lives in :func:`repro.core.block_tasks.strict_l2_assign`
-        (module-level so the process engine can ship it inside tasks);
-        this method binds the executor's plan.
-        """
-        return strict_l2_assign(block, C, self.plan.centroid_slices)
-
     def iterate(self, X: np.ndarray, C: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:
         plan = self.plan
-        n, d = X.shape
+        d = X.shape[1]
         k = C.shape[0]
         item = self._itemsize
         assert self._comm is not None
         widest_slice = max(hi - lo for lo, hi in plan.centroid_slices)
 
-        assignments = np.empty(n, dtype=np.int64)
-        best_d2 = np.empty(n, dtype=X.dtype)
-
         # ---- Assign phase: numerics fan out over the execution engine ----
-        # Module-level block tasks (picklable for the process engine;
-        # operands travel by share()) return compact partials, merged in
-        # fixed group order below, so the result is engine-independent;
-        # labels scatter back in fixed group order.
-        # The merge mirrors the hardware hierarchy: partials reduce within
-        # each CG first, then across CGs in sorted-CG order — a grouped
-        # topology whose schedule depends only on the group layout.  The
-        # per-group partials also feed the accumulate cost model below.
+        # One block task per CPE group.  Strict mode walks the hardware
+        # dataflow: each member CPE takes a slice-local argmin over its
+        # centroid slice (line 9's a(i)'), then a MINLOC (line 10) combines
+        # the mgroup partial winners.  The merge mirrors the hardware
+        # hierarchy: partials reduce within each CG first, then across CGs
+        # in sorted-CG order — a grouped topology whose schedule depends
+        # only on the group layout.  The per-group partials also feed the
+        # accumulate cost model below.
         topology = self.reduce.for_groups(
             [self._groups_by_cg[cg] for cg in sorted(self._groups_by_cg)])
-        pruned = not self.strict_cpe and self.kernel.name == "pruned"
-        if pruned:
-            # Same block boundaries and topology; the tasks additionally
-            # carry the per-sample bound state (see executor_base).
-            merged, partials = self._pruned_map_reduce(
-                X, C, plan.sample_blocks, topology)
-        else:
-            x_ref = self.engine.share("X", X)
-            c_ref = self.engine.share("C", C)
-            if self.strict_cpe:
-                tasks: List[object] = [
-                    StrictL2Task(x_ref, c_ref, lo, hi, k,
-                                 plan.centroid_slices)
-                    for lo, hi in plan.sample_blocks]
-                block_fn = strict_l2_block
-            else:
-                token = kernel_token(self.kernel)
-                tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token)
-                         for lo, hi in plan.sample_blocks]
-                block_fn = fused_assign_block
-            merged, partials = self.engine.map_reduce(
-                block_fn, tasks, topology=topology, return_partials=True)
+        pruned = self.kernel.name == "pruned"
+        strict = (strict_l2_block, functools.partial(
+            StrictL2Task, k=k, centroid_slices=plan.centroid_slices)) \
+            if self.strict_cpe else None
+        merged, partials, assignments, best_d2 = self._map_assign(
+            X, C, plan.sample_blocks, topology, strict=strict)
         global_sums, global_counts = merged.sums, merged.counts
-        scatter_labels(partials, assignments, best_d2)
-        self._iter_inertia = float(best_d2.sum() / n)
 
         # ---- cost model (fixed CG/group order, independent of the engine) ----
         if self.model_costs:
@@ -248,7 +198,8 @@ class Level2Executor(LevelExecutor):
         if pruned:
             # Last act of the iteration — after every fault-prone charge —
             # so a faulted iteration never half-commits bound state.
-            self._commit_pruned_state(C, assignments, best_d2, partials)
+            self._commit_pruned_state(C, assignments, best_d2, merged,
+                                      partials)
         return assignments, new_C
 
 

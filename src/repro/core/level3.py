@@ -23,6 +23,7 @@ which is what lets k and d scale independently.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -31,16 +32,8 @@ from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
 from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
-from ..runtime.reduce import scatter_labels
 from ..runtime.regcomm import RegisterComm
-from .block_tasks import (
-    FusedAssignTask,
-    StrictL3Task,
-    fused_assign_block,
-    kernel_token,
-    strict_l3_assign,
-    strict_l3_block,
-)
+from .block_tasks import StrictL3Task, strict_l3_block
 from .executor_base import LevelExecutor
 from .partition import Level3Plan, plan_level3
 from .result import KMeansResult
@@ -112,80 +105,32 @@ class Level3Executor(LevelExecutor):
                 self._member_comms[0].bcast_time(widest * d * self._itemsize),
             )
 
-    # -- assignment under the partition ------------------------------------------
-
-    def _assign_block(self, block: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """Global a(i) for one CG group's block.
-
-        Strict mode walks the real dataflow — per-CPE dim-slice partial
-        distances, mesh reduce, CG-local argmin, MINLOC across member CGs —
-        and must agree with the fast vectorised path (the fidelity tests
-        compare the two).
-        """
-        if not self.strict_cpe:
-            return self.kernel.assign(block, C)
-        return self._strict_assign_block(block, C)[0]
-
-    def _strict_assign_block(self, block: np.ndarray, C: np.ndarray
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Strict dataflow winner (index, squared distance) per sample.
-
-        The math lives in :func:`repro.core.block_tasks.strict_l3_assign`
-        (module-level so the process engine can ship it inside tasks);
-        this method binds the executor's plan.
-        """
-        plan = self.plan
-        return strict_l3_assign(block, C, plan.centroid_slices,
-                                plan.dim_slices)
-
     # -- one iteration ------------------------------------------------------------
 
     def iterate(self, X: np.ndarray, C: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:
         plan = self.plan
-        n, d = X.shape
+        d = X.shape[1]
         k = C.shape[0]
         item = self._itemsize
         widest_k = max(hi - lo for lo, hi in plan.centroid_slices)
         widest_d = max(hi - lo for lo, hi in plan.dim_slices)
 
-        assignments = np.empty(n, dtype=np.int64)
-        best_d2 = np.empty(n, dtype=X.dtype)
-
         # ---- Assign phase (CG groups fully parallel) ----
-        # Module-level block tasks (picklable for the process engine;
-        # operands travel by share()) return compact partials that merge
-        # in fixed group order below, so the result is engine-independent;
-        # labels scatter back in fixed group order.
-        pruned = not self.strict_cpe and self.kernel.name == "pruned"
-        if pruned:
-            # Same block boundaries and topology; the tasks additionally
-            # carry the per-sample bound state (see executor_base).
-            merged, partials = self._pruned_map_reduce(
-                X, C, plan.sample_blocks)
-        else:
-            x_ref = self.engine.share("X", X)
-            c_ref = self.engine.share("C", C)
-            if self.strict_cpe:
-                tasks: List[object] = [
-                    StrictL3Task(x_ref, c_ref, lo, hi, k,
-                                 plan.centroid_slices, plan.dim_slices)
-                    for lo, hi in plan.sample_blocks]
-                block_fn = strict_l3_block
-            else:
-                token = kernel_token(self.kernel)
-                tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token)
-                         for lo, hi in plan.sample_blocks]
-                block_fn = fused_assign_block
-            # The merge runs under the executor's reduction topology
-            # (schedule a pure function of the group count, so
-            # engine-independent); the per-group partials also feed the
-            # accumulate cost model below.
-            merged, partials = self.engine.map_reduce(
-                block_fn, tasks, topology=self.reduce, return_partials=True)
+        # One block task per CG group.  Strict mode walks the real dataflow
+        # — per-CPE dim-slice partial distances, mesh reduce, CG-local
+        # argmin, MINLOC across member CGs — and must agree with the fast
+        # path (the fidelity tests compare the two).  The merge runs under
+        # the executor's reduction topology (schedule a pure function of
+        # the group count, so engine-independent); the per-group partials
+        # also feed the accumulate cost model below.
+        pruned = self.kernel.name == "pruned"
+        strict = (strict_l3_block, functools.partial(
+            StrictL3Task, k=k, centroid_slices=plan.centroid_slices,
+            dim_slices=plan.dim_slices)) if self.strict_cpe else None
+        merged, partials, assignments, best_d2 = self._map_assign(
+            X, C, plan.sample_blocks, self.reduce, strict=strict)
         global_sums, global_counts = merged.sums, merged.counts
-        scatter_labels(partials, assignments, best_d2)
-        self._iter_inertia = float(best_d2.sum() / n)
 
         # ---- cost model (fixed group order, independent of the engine) ----
         if self.model_costs:
@@ -271,7 +216,8 @@ class Level3Executor(LevelExecutor):
         if pruned:
             # Last act of the iteration — after every fault-prone charge —
             # so a faulted iteration never half-commits bound state.
-            self._commit_pruned_state(C, assignments, best_d2, partials)
+            self._commit_pruned_state(C, assignments, best_d2, merged,
+                                      partials)
         return assignments, new_C
 
 

@@ -13,7 +13,7 @@ configuration; the integration tests enforce it.
 from __future__ import annotations
 
 import warnings
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,13 +25,7 @@ from ..errors import (
 )
 from ..runtime.engine import EngineLike, resolve_engine
 from ..runtime.ledger import NullLedger
-from ..runtime.reduce import (
-    ReduceLike,
-    ReduceTopology,
-    resolve_reduce,
-    scatter_bounds,
-    scatter_labels,
-)
+from ..runtime.reduce import ReduceLike, resolve_reduce, scatter_bounds
 from ..runtime.supervisor import SupervisorLike, resolve_supervisor
 from ._common import (
     DEFAULT_CHUNK_ELEMENTS,
@@ -41,80 +35,11 @@ from ._common import (
     update_centroids,
     validate_data,
 )
-from .block_tasks import (
-    FusedAssignTask,
-    build_pruned_tasks,
-    fused_assign_block,
-    kernel_token,
-    pruned_assign_block,
-)
+from .block_tasks import map_assign
 from .bounds import BlockBounds
 from .checkpoint import CheckpointConfig, CheckpointStore, load_checkpoint
-from .kernels import KernelBackend, KernelLike, PrunedKernel, resolve_kernel
+from .kernels import KernelLike, PrunedKernel, resolve_kernel
 from .result import IterationStats, KMeansResult
-
-
-def _fused_step(X: np.ndarray, C: np.ndarray, backend: KernelBackend,
-                chunk_elements: int, engine,
-                topology: Optional[ReduceTopology] = None
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One fused Assign+Accumulate pass, sharded over the execution engine.
-
-    Shard boundaries come from the backend's own chunk policy (so they are
-    a function of the problem shape only, never of the engine or worker
-    count), each shard runs the fused kernel, and the per-shard partial
-    accumulators merge under the reduction topology — whose schedule is a
-    pure function of the shard count — making the result bit-identical
-    across engines and worker counts for a given topology.
-    """
-    n, k = X.shape[0], C.shape[0]
-    rows = backend.chunk_rows(n, k, X.shape[1], chunk_elements)
-    assignments = np.empty(n, dtype=np.int64)
-    best_d2 = np.empty(n, dtype=X.dtype)
-
-    # Publish the operands once per call (identity makes the X re-publish
-    # free across iterations); under the in-process engines share() is the
-    # array itself and the tasks see it by reference.
-    x_ref = engine.share("X", X)
-    c_ref = engine.share("C", C)
-    token = kernel_token(backend)
-    tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token, chunk_elements)
-             for lo, hi in chunk_ranges(n, rows)]
-    merged, partials = engine.map_reduce(fused_assign_block, tasks,
-                                         topology=topology,
-                                         return_partials=True)
-    scatter_labels(partials, assignments, best_d2)
-    return assignments, best_d2, merged.sums, merged.counts
-
-
-def _pruned_step(X: np.ndarray, C: np.ndarray, backend: PrunedKernel,
-                 chunk_elements: int, engine,
-                 topology: Optional[ReduceTopology],
-                 bounds: BlockBounds
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One bounds-carrying Assign+Accumulate pass (``kernel="pruned"``).
-
-    Shard boundaries, reduction topology, and scatter order are identical
-    to :func:`_fused_step`, so the outputs are bit-identical to the gemm
-    sweep; only the work per shard shrinks as the bounds tighten.  The
-    fresh per-sample state is committed before returning — level 0 has no
-    fault loop, so there is no half-commit hazard here.
-    """
-    n, k = X.shape[0], C.shape[0]
-    rows = backend.chunk_rows(n, k, X.shape[1], chunk_elements)
-    assignments = np.empty(n, dtype=np.int64)
-    best_d2 = np.empty(n, dtype=X.dtype)
-    lb = np.empty(n, dtype=np.float64)
-    tasks = build_pruned_tasks(engine, backend, X, C,
-                               list(chunk_ranges(n, rows)), bounds,
-                               chunk_elements=chunk_elements)
-    merged, partials = engine.map_reduce(pruned_assign_block, tasks,
-                                         topology=topology,
-                                         return_partials=True)
-    scatter_labels(partials, assignments, best_d2)
-    scatter_bounds(partials, lb)
-    bounds.commit(C, assignments, best_d2, lb)
-    return assignments, best_d2, merged.sums, merged.counts
 
 
 def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
@@ -149,14 +74,15 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
         "pruned"; see :mod:`repro.core.kernels`).  None consults
         ``REPRO_KERNEL``.  The pruned backend carries per-sample bounds
         across iterations (invalidated on resume) and is bit-identical
-        to "gemm".
+        to "gemm" away from floating-point near ties.
     engine:
-        Host execution engine ("serial" or "thread"; see
+        Host execution engine ("serial", "thread", or "process"; see
         :mod:`repro.runtime.engine`).  Shards the fused Assign+Accumulate
-        pass over a thread pool without changing the numbers.
+        pass over a thread pool or over shared-memory worker processes
+        without changing the numbers.
     workers:
-        Thread count for the thread engine (implies ``engine="thread"``
-        when > 1 and ``engine`` is unset).
+        Worker count for the thread or process engine (implies
+        ``engine="thread"`` when > 1 and ``engine`` is unset).
     reduce:
         Reduction topology merging the per-shard partials (``"serial"``,
         ``"tree"``, or a :class:`~repro.runtime.reduce.ReduceTopology`
@@ -272,6 +198,11 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
     pruned_bounds = (BlockBounds() if isinstance(backend, PrunedKernel)
                      else None)
 
+    # Shard boundaries come from the backend's own chunk policy: a function
+    # of the problem shape only, never of the engine or worker count.
+    blocks = list(chunk_ranges(n, backend.chunk_rows(
+        n, C.shape[0], X.shape[1], chunk_elements)))
+
     run_supervisor.start()
     history: List[IterationStats] = []
     assignments = np.full(n, -1, dtype=np.int64)
@@ -280,14 +211,18 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
     shift = np.inf
     for it in range(start_iteration + 1, max_iter + 1):
         run_supervisor.begin_iteration(it)
-        if isinstance(backend, PrunedKernel) and pruned_bounds is not None:
-            new_assignments, best_d2, sums, counts = _pruned_step(
-                X, C, backend, chunk_elements, exec_engine, topology,
-                pruned_bounds)
-        else:
-            new_assignments, best_d2, sums, counts = _fused_step(
-                X, C, backend, chunk_elements, exec_engine, topology)
-        new_C = update_centroids(sums, counts, C,
+        merged, partials, new_assignments, best_d2 = map_assign(
+            exec_engine, backend, X, C, blocks, topology,
+            bounds=pruned_bounds, chunk_elements=chunk_elements)
+        if pruned_bounds is not None:
+            # Level 0 has no fault loop, so there is no half-commit hazard:
+            # the fresh bounds are adopted at once.
+            lb = np.empty(n, dtype=np.float64)
+            scatter_bounds(partials, lb)
+            pruned_bounds.commit(C, new_assignments, best_d2, lb)
+        # The per-block payloads must not outlive the iteration.
+        del partials
+        new_C = update_centroids(merged.sums, merged.counts, C,
                                  empty_action=empty_action,
                                  X=X, best_d2=best_d2)
         run_supervisor.absorb(exec_engine)

@@ -209,7 +209,7 @@ class _QuarantinedSlot(Exception):
 
 
 def _combine_pair(combine: CombineFn, pair: Tuple[Any, Any]) -> Any:
-    """Module-level merge task: pooled reductions must pickle (E404)."""
+    """Module-level merge task: pooled reductions must pickle (W604)."""
     return combine(pair[0], pair[1])
 
 
@@ -219,7 +219,7 @@ def _combine_pair_verified(combine: CombineFn, pair: Tuple[Any, Any]) -> Any:
     Verifies both operands' CRCs, checks check-row preservation, and
     seals the merged partial — inside the engine task, so under the
     process engine the verification runs worker-side on the bytes that
-    actually crossed the pipe.  Module-level for picklability (E404).
+    actually crossed the pipe.  Module-level for picklability (W604).
     """
     return verified_combine(combine, pair[0], pair[1], where="tree combine")
 
@@ -995,8 +995,7 @@ def resolve_engine(engine: EngineLike = None,
         return ThreadEngine(workers, chaos=chaos, integrity=mode)
     if engine == "process":
         # Late imports: process_engine imports this module at load time.
-        from .host import _fork_available
-        from .process_engine import ProcessEngine
+        from .process_engine import ProcessEngine, _fork_available
         if not _fork_available():
             fallback = SerialEngine(chaos=chaos, integrity=mode)
             fallback._record(

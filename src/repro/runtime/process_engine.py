@@ -68,7 +68,7 @@ Selection: ``engine="process"`` (facade/executors/lloyd/CLI) or
 (with an ``engine_fallback`` host event, never a crash) when the fork
 start method is unavailable or the host has a single CPU and no explicit
 worker count.  Callables must be module-level (picklable) — reprolint rule
-E404 enforces this statically at every engine call site.
+W604 enforces this statically at every engine call site.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ from ..analysis.envvars import ENV_HEARTBEAT, read_float
 from ..errors import ConfigurationError, FaultError
 from .chaos import ChaosInjector, ChaosPlan
 from .engine import ExecutionEngine, TaskPolicy, _SharedEntry
-from .host import _fork_available
 from .integrity import crc32_array, seal_partial
 from .shm import ArrayRef, SharedArena, make_heartbeats
 
@@ -328,6 +327,15 @@ def shutdown_process_pools(wait: bool = True) -> None:
         pool.shutdown(wait=wait)
 
 
+def _fork_available() -> bool:
+    """True when this platform offers the fork start method workers need."""
+    try:
+        return "fork" in mp.get_all_start_methods()
+    # reprolint: disable=E403 -- platform probe; no FaultError can originate here
+    except Exception:  # pragma: no cover - platform-specific
+        return False
+
+
 def _picklable_callable(fn: Callable[..., Any]) -> bool:
     """True when ``fn`` pickles by reference (module-level, not a closure)."""
     probe: Any = fn
@@ -455,7 +463,7 @@ class ProcessEngine(ExecutionEngine):
                 f"the process engine ships callables to worker processes; "
                 f"{getattr(fn, '__qualname__', fn)!r} is a lambda or "
                 f"closure and cannot pickle — pass a module-level function "
-                f"(reprolint rule E404)"
+                f"(reprolint rule W604)"
             )
         pool = _shared_process_pool(self.workers)
         with pool.lock:

@@ -582,93 +582,6 @@ class TestE403:
 
 
 # ---------------------------------------------------------------------------
-# E404 unpicklable engine callable
-# ---------------------------------------------------------------------------
-
-class TestE404:
-    def test_flags_lambda_task(self):
-        src = """
-        def run(engine, items):
-            return engine.map(lambda item: item + 1, items)
-        """
-        assert findings_for(src, CORE, "E404")
-
-    def test_flags_lambda_in_map_reduce(self):
-        src = """
-        class Executor:
-            def step(self, items):
-                return self.engine.map_reduce(lambda b: b.sum(), items)
-        """
-        assert findings_for(src, CORE, "E404")
-
-    def test_flags_nested_def_task(self):
-        src = """
-        def run(engine, X, items):
-            def block(item):
-                return X[item].sum()
-            return engine.map(block, items)
-        """
-        assert findings_for(src, RUNTIME, "E404")
-
-    def test_flags_name_bound_to_lambda(self):
-        src = """
-        def run(engine, items):
-            block = lambda item: item + 1
-            return engine.map(block, items)
-        """
-        assert findings_for(src, CORE, "E404")
-
-    def test_flags_partial_over_lambda(self):
-        src = """
-        import functools
-
-        def run(engine, items):
-            fn = functools.partial(lambda k, item: item + k, 2)
-            return engine.map(fn, items)
-        """
-        assert findings_for(src, CORE, "E404")
-
-    def test_accepts_module_level_function(self):
-        src = """
-        def block(item):
-            return item + 1
-
-        def run(engine, items):
-            return engine.map(block, items)
-        """
-        assert_clean(src, CORE, "E404")
-
-    def test_accepts_partial_over_module_function(self):
-        src = """
-        import functools
-
-        def combine(a, b):
-            return a + b
-
-        def run(engine, partials, schedule):
-            merge = functools.partial(combine)
-            return engine.map(merge, schedule)
-        """
-        assert_clean(src, CORE, "E404")
-
-    def test_accepts_imported_attribute(self):
-        src = """
-        from repro.core import block_tasks
-
-        def run(engine, items):
-            return engine.map(block_tasks.fused_assign_block, items)
-        """
-        assert_clean(src, CORE, "E404")
-
-    def test_out_of_scope_module_is_ignored(self):
-        src = """
-        def run(engine, items):
-            return engine.map(lambda item: item, items)
-        """
-        assert_clean(src, "src/repro/reporting/plots.py", "E404")
-
-
-# ---------------------------------------------------------------------------
 # E405 raw checkpoint I/O
 # ---------------------------------------------------------------------------
 
@@ -785,7 +698,7 @@ def test_rule_ids_are_unique_and_stable():
     # The documented catalogue: removing a rule is an API break.
     assert {"D101", "D102", "D103", "D104", "D105", "D106", "D107",
             "L201", "L202", "C301", "C302",
-            "E401", "E402", "E403", "E404", "T501"} <= set(ids)
+            "E401", "E402", "E403", "T501"} <= set(ids)
 
 
 def test_every_rule_has_summary_and_name():

@@ -2,8 +2,10 @@
 
 Every positive fixture here launders the violation through at least one
 helper-function hop, and each one asserts *both* that the W rule fires
-and that its per-file counterpart (D106, L201, E401, E404, D103) stays
-silent — that pairing is the whole point of the W series.
+and that its per-file counterpart (D106, L201, E401, D103) stays silent —
+that pairing is the whole point of the W series.  W604 has no per-file
+counterpart: it is the one picklability rule, so its section also covers
+the direct cases (a lambda or nested def handed straight to the seam).
 """
 
 import textwrap
@@ -321,10 +323,6 @@ def test_w604_fires_on_factory_returned_lambda():
     assert_fires(W604_FACTORY, CORE, "W604")
 
 
-def test_w604_hole_is_invisible_to_e404():
-    assert_clean(W604_FACTORY, CORE, "E404")
-
-
 def test_w604_fires_through_wrapper_parameter():
     assert_fires(
         """
@@ -350,6 +348,105 @@ def test_w604_fires_on_partial_over_nested_def():
             return engine.map(fn, blocks)
         """,
         CORE, "W604")
+
+
+def test_w604_flags_lambda_task() -> None:
+    assert_fires(
+        """
+        def run(engine, items):
+            return engine.map(lambda item: item + 1, items)
+        """,
+        CORE, "W604")
+
+
+def test_w604_flags_lambda_in_map_reduce() -> None:
+    assert_fires(
+        """
+        class Executor:
+            def step(self, items):
+                return self.engine.map_reduce(lambda b: b.sum(), items)
+        """,
+        CORE, "W604")
+
+
+def test_w604_flags_nested_def_task() -> None:
+    assert_fires(
+        """
+        def run(engine, X, items):
+            def block(item):
+                return X[item].sum()
+            return engine.map(block, items)
+        """,
+        RUNTIME, "W604")
+
+
+def test_w604_flags_name_bound_to_lambda() -> None:
+    assert_fires(
+        """
+        def run(engine, items):
+            block = lambda item: item + 1
+            return engine.map(block, items)
+        """,
+        CORE, "W604")
+
+
+def test_w604_flags_partial_over_lambda() -> None:
+    assert_fires(
+        """
+        import functools
+
+        def run(engine, items):
+            fn = functools.partial(lambda k, item: item + k, 2)
+            return engine.map(fn, items)
+        """,
+        CORE, "W604")
+
+
+def test_w604_accepts_module_level_function() -> None:
+    assert_clean(
+        """
+        def block(item):
+            return item + 1
+
+        def run(engine, items):
+            return engine.map(block, items)
+        """,
+        CORE, "W604")
+
+
+def test_w604_accepts_partial_over_module_function() -> None:
+    assert_clean(
+        """
+        import functools
+
+        def combine(a, b):
+            return a + b
+
+        def run(engine, partials, schedule):
+            merge = functools.partial(combine)
+            return engine.map(merge, schedule)
+        """,
+        CORE, "W604")
+
+
+def test_w604_accepts_imported_attribute() -> None:
+    assert_clean(
+        """
+        from repro.core import block_tasks
+
+        def run(engine, items):
+            return engine.map(block_tasks.fused_assign_block, items)
+        """,
+        CORE, "W604")
+
+
+def test_w604_out_of_scope_module_is_ignored() -> None:
+    assert_clean(
+        """
+        def run(engine, items):
+            return engine.map(lambda item: item, items)
+        """,
+        "src/repro/reporting/plots.py", "W604")
 
 
 def test_w604_clean_on_module_level_partial():

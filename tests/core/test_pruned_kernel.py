@@ -5,7 +5,8 @@ inertia, and fault/chaos replays are **bitwise** identical to
 ``kernel="gemm"`` — across engines, worker counts, reduce topologies,
 adversarial ties, checkpoint resumes, replans, and rollbacks.  Pruning is
 allowed to change exactly one observable: how many distance evaluations
-the ledger charges for.
+the ledger charges for.  Decimal near ties are the known exception
+(ROADMAP item 1), pinned as strict xfails in ``TestDecimalNearTie``.
 """
 
 import os
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import time
 import warnings
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -101,7 +103,8 @@ class TestKernelPrimitives:
         assert n_dist == X.shape[0] * C0.shape[0]
         assert np.all(lb >= 0.0)
 
-    def test_pruned_steps_match_gemm_and_prune(self, workload):
+    def test_pruned_iterations_match_gemm_and_prune(
+            self, workload: Tuple[np.ndarray, np.ndarray]) -> None:
         # Walk one Lloyd trajectory with both kernels in lock-step; every
         # iteration must agree bitwise, and the evaluation count must fall
         # below the dense n*k once the centroids settle.
@@ -308,6 +311,39 @@ class TestAdversarialTies:
             out = HierarchicalKMeans(6, kernel="pruned",
                                      **model_kwargs).fit(X)
         _assert_same_result(ref, out)
+
+
+#: A decimal near tie: row 2 is equidistant from C0[2] and C0[3] in real
+#: arithmetic, which binary floating point cannot represent exactly.
+NEAR_TIE_X = np.array([[0, .001], [.001, .002], [.003, .002], [.003, .001]])
+NEAR_TIE_C0 = np.array([[.001, .0015], [0, .001], [.003, .0025],
+                        [.003, .0015]])
+NEAR_TIE_LABELS = [1, 0, 2, 3]
+
+
+class TestDecimalNearTie:
+    def test_naive_labels_do_not_depend_on_the_block(self) -> None:
+        # One 4-row block, then one row per block (chunk_rows is
+        # chunk_elements // (k * d) for the naive kernel).
+        for chunk_elements in (1 << 20, 8):
+            result = lloyd(NEAR_TIE_X, NEAR_TIE_C0, kernel="naive",
+                           chunk_elements=chunk_elements)
+            assert result.assignments.tolist() == NEAR_TIE_LABELS
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: pruned and "
+                       "gemm disagree on decimal near ties")
+    def test_pruned_equals_gemm(self) -> None:
+        ref = lloyd(NEAR_TIE_X, NEAR_TIE_C0, kernel="gemm")
+        out = lloyd(NEAR_TIE_X, NEAR_TIE_C0, kernel="pruned")
+        _assert_same_result(ref, out)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: gemm's labels "
+                       "depend on the block shape on decimal near ties")
+    def test_gemm_block_equals_row_by_row(self) -> None:
+        kernel = GemmKernel()
+        rows = [int(kernel.assign(NEAR_TIE_X[i:i + 1], NEAR_TIE_C0)[0])
+                for i in range(len(NEAR_TIE_X))]
+        assert kernel.assign(NEAR_TIE_X, NEAR_TIE_C0).tolist() == rows
 
 
 # ---------------------------------------------------------------------------

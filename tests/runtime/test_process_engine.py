@@ -33,7 +33,7 @@ def _teardown_pools():
 
 
 # Module-level task bodies: the process engine requires picklable
-# callables (reprolint E404), which is itself under test below.
+# callables (reprolint W604), which is itself under test below.
 
 def _square(x):
     return x * x
@@ -78,7 +78,7 @@ class TestMapSemantics:
 
     def test_lambda_rejected_with_e404_pointer(self):
         engine = ProcessEngine(workers=2)
-        with pytest.raises(ConfigurationError, match="E404"):
+        with pytest.raises(ConfigurationError, match="W604"):
             engine.map(lambda x: x, range(4))
 
     def test_nested_def_rejected(self):
@@ -149,6 +149,16 @@ def test_lloyd_process_parity():
     serial = _run_lloyd(SerialEngine())
     process = _run_lloyd(ProcessEngine(workers=2))
     _assert_bit_identical(serial, process)
+
+
+def test_lloyd_process_worker_count_invariant() -> None:
+    # The shards and their merge schedule depend on the problem shape
+    # only, so widening the pool past the CPU count moves no bit.
+    serial = _run_lloyd(SerialEngine())
+    for workers in (2, 3):
+        result = _run_lloyd(ProcessEngine(workers=workers))
+        _assert_bit_identical(serial, result)
+        assert result.history == serial.history
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +239,7 @@ class TestResolveProcess:
         assert isinstance(resolve_engine(), ProcessEngine)
 
     def test_no_fork_degrades_to_serial_with_event(self, monkeypatch):
-        monkeypatch.setattr("repro.runtime.host._fork_available",
+        monkeypatch.setattr("repro.runtime.process_engine._fork_available",
                             lambda: False)
         engine = resolve_engine("process", workers=2)
         assert isinstance(engine, SerialEngine)
@@ -237,7 +247,7 @@ class TestResolveProcess:
 
     def test_env_process_without_fork_never_crashes(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "process")
-        monkeypatch.setattr("repro.runtime.host._fork_available",
+        monkeypatch.setattr("repro.runtime.process_engine._fork_available",
                             lambda: False)
         engine = resolve_engine()
         assert isinstance(engine, SerialEngine)

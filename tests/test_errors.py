@@ -58,7 +58,6 @@ class TestPublicSurface:
         from repro.baselines import elkan, hamerly, minibatch, yinyang  # noqa: F401
         from repro.core.metrics import purity  # noqa: F401
         from repro.perfmodel import PerformanceModel  # noqa: F401
-        from repro.runtime.host import lloyd_parallel  # noqa: F401
 
     def test_subpackage_all_exports_resolve(self):
         import repro.core
