@@ -10,6 +10,7 @@ so the parent-side numerics never see a difference.
 import numpy as np
 import pytest
 
+from repro.core.init import init_centroids
 from repro.core.lloyd import lloyd
 from repro.data.synthetic import gaussian_blobs
 from repro.errors import ConfigurationError
@@ -149,6 +150,18 @@ def test_lloyd_process_parity():
     serial = _run_lloyd(SerialEngine())
     process = _run_lloyd(ProcessEngine(workers=2))
     _assert_bit_identical(serial, process)
+
+
+def test_lloyd_process_matches_serial_lloyd() -> None:
+    # A converging run on a larger workload: the process engine must
+    # reproduce serial Lloyd's trajectory, stopping point included.
+    X, _ = gaussian_blobs(n=2000, k=10, d=12, seed=41)
+    C0 = init_centroids(X, 10, method="first")
+    ref = lloyd(X, C0, max_iter=30)
+    par = lloyd(X, C0, max_iter=30, engine=ProcessEngine(workers=2))
+    _assert_bit_identical(ref, par)
+    assert par.n_iter == ref.n_iter
+    assert par.converged == ref.converged
 
 
 def test_lloyd_process_worker_count_invariant() -> None:
