@@ -27,7 +27,7 @@ project so ``--rules`` subsets pay only for what they use.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from .dataflow import TaintEngine, TaintSpec
 from .project import CallRec, FuncSummary, Op, Project, Value

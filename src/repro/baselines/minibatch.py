@@ -14,7 +14,7 @@ its contract is different: the tests assert convergence-in-expectation
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

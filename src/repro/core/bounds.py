@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._common import squared_distances
+from ._common import chunk_ranges, squared_distances
 
 __all__ = [
     "BlockBounds",
@@ -43,6 +43,11 @@ __all__ = [
     "centroid_separation",
     "group_members_of",
 ]
+
+#: Bytes of the (rows, k, d) direct-form temporary one block of
+#: :func:`centroid_separation` may build (7 rows at k=256, d=68).
+SEPARATION_BLOCK_BYTES = 1 << 20
+
 
 def centroid_drift(old_C: np.ndarray, new_C: np.ndarray) -> np.ndarray:
     """Per-centroid Euclidean movement ``|new_C[j] - old_C[j]|``.
@@ -65,7 +70,14 @@ def centroid_separation(C: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     k = C.shape[0]
     if k <= 1:
         return np.full((k, k), np.inf), np.zeros(max(k, 1))
-    cc = np.sqrt(np.maximum(squared_distances(C, C), 0.0))
+    # Row blocks of the direct form: each entry reduces its own d-vector,
+    # so the blocks are bitwise the one-shot (k, k, d) evaluation.
+    row_bytes = max(1, k * C.shape[1] * C.itemsize)
+    rows = max(1, SEPARATION_BLOCK_BYTES // row_bytes)
+    sq = np.empty((k, k), dtype=C.dtype)
+    for lo, hi in chunk_ranges(k, rows):
+        sq[lo:hi] = squared_distances(C[lo:hi], C)
+    cc = np.sqrt(np.maximum(sq, 0.0))
     np.fill_diagonal(cc, np.inf)
     return cc, 0.5 * cc.min(axis=1)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..core.init import init_centroids
 from ..core.kmeans import HierarchicalKMeans
 from ..core.metrics import adjusted_rand_index
 from ..data.preprocess import PCA, simplex_blobs

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..data.datasets import TABLE_II
-from ..perfmodel.sweep import Series, sweep
+from ..perfmodel.sweep import sweep
 from ..reporting.figures import series_sparklines, series_table
 from .base import ExperimentOutput, monotone_nondecreasing, monotone_nonincreasing
 

@@ -25,7 +25,7 @@ convergence loop, so injection starts at iteration 1.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,7 +34,6 @@ from ..errors import (
     CGFailedError,
     CollectiveTimeoutError,
     ConfigurationError,
-    FaultError,
     TransientDMAError,
 )
 

@@ -21,7 +21,7 @@ idiom of buffer-typed collectives, minus the actual wire).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -15,7 +15,7 @@ import subprocess
 import sys
 import time
 import warnings
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
@@ -23,13 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core import bounds
 from repro.core.bounds import BlockBounds, centroid_drift, centroid_separation
 from repro.core.checkpoint import CHECKPOINT_FILENAME
 from repro.core.kernels import GemmKernel, PrunedKernel, resolve_kernel
 from repro.core.kmeans import HierarchicalKMeans
 from repro.core.level3 import Level3Executor
 from repro.core.lloyd import lloyd
-from repro.core._common import update_centroids
+from repro.core._common import squared_distances, update_centroids
 from repro.data.synthetic import gaussian_blobs, uniform_cloud
 from repro.errors import ConfigurationError, ConvergenceWarning
 from repro.machine.machine import Machine, toy_machine
@@ -144,6 +145,29 @@ class TestKernelPrimitives:
         out = pruned.assign_accumulate_pruned(X, C, labels, d2, lb, drift, s)
         np.testing.assert_array_equal(out[0], labels)
         np.testing.assert_array_equal(out[1], d2)
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("d", [1, 68])
+    @pytest.mark.parametrize("k", [1, 2, 7, 257])
+    def test_separation_blocks_match_one_shot(
+            self, monkeypatch: pytest.MonkeyPatch, k: int, d: int,
+            block_bytes: Optional[int]) -> None:
+        # Row blocks of the direct form must equal the one-shot (k, k, d)
+        # evaluation bit for bit; block_bytes=1 forces one row per block.
+        if block_bytes is not None:
+            monkeypatch.setattr(bounds, "SEPARATION_BLOCK_BYTES", block_bytes)
+        C = np.random.default_rng(k * 100 + d).normal(size=(k, d))
+        cc, s = centroid_separation(C)
+        if k <= 1:
+            ref_cc, ref_s = np.full((k, k), np.inf), np.zeros(1)
+        else:
+            ref_cc = np.sqrt(np.maximum(squared_distances(C, C), 0.0))
+            np.fill_diagonal(ref_cc, np.inf)
+            ref_s = 0.5 * ref_cc.min(axis=1)
+        np.testing.assert_array_equal(cc.view(np.uint64),
+                                      ref_cc.view(np.uint64))
+        np.testing.assert_array_equal(s.view(np.uint64),
+                                      ref_s.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
