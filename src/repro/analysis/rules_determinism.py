@@ -313,15 +313,14 @@ class ManualPartialAccumulation(Rule):
                     "(grouped topologies cover hierarchical merges)")
 
 
-#: Calls that adopt previously persisted state (checkpoint restores).
-_RESTORE_CALLS = frozenset({"restore", "load_checkpoint", "from_checkpoint"})
+#: Calls that adopt previously persisted state (checkpoint restores and
+#: the durable-snapshot resume of ``CheckpointStore.resume``).
+_RESTORE_CALLS = frozenset({"restore", "load_checkpoint", "from_checkpoint",
+                            "resume"})
 
 #: Calls that make carried bound state safe again after a restore: the
-#: in-place drop, the executors' shared reset hook, and the resume loader
-#: (which invalidates internally before touching the snapshot).
-_BOUNDS_RESET_CALLS = frozenset({
-    "_reset_state_after_replan", "_load_resume_state",
-})
+#: executors' shared reset hook (besides the in-place ``invalidate()``).
+_BOUNDS_RESET_CALLS = frozenset({"_reset_state_after_replan"})
 
 
 def _bounds_like(name: str) -> bool:
@@ -335,7 +334,7 @@ class StaleBoundsAfterRestore(Rule):
 
     id = "D107"
     name = "stale-bounds-after-restore"
-    summary = ("after a checkpoint restore (`*.restore()`, "
+    summary = ("after a checkpoint restore (`*.restore()`, `*.resume()`, "
                "`load_checkpoint(...)`) bound state must be invalidated or "
                "rebuilt before it is read; drifting bounds anchored to "
                "pre-restore centroids is unsound and silently breaks "

@@ -66,17 +66,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 __all__ = [
     "FusedAssignTask",
     "PrunedAssignTask",
-    "StrictL2Task",
-    "StrictL3Task",
-    "StrictTasks",
+    "StrictAssign",
+    "StrictTask",
     "fused_assign_block",
     "kernel_token",
     "map_assign",
     "pruned_assign_block",
+    "strict_block",
     "strict_l2_assign",
     "strict_l3_assign",
-    "strict_l2_block",
-    "strict_l3_block",
 ]
 
 #: Per-process cache of kernel backends resolved from registry names, so a
@@ -209,10 +207,11 @@ def pruned_assign_block(task: PrunedAssignTask) -> PrunedPartial:
 
 
 #: What Levels 2 and 3 hand :func:`map_assign` for a strict-CPE sweep: the
-#: module-level block function and a factory building its task record
-#: from ``(x, c, lo, hi)``.
-StrictTasks = Tuple[Callable[[Any], BlockPartial],
-                    Callable[[ArrayLike, ArrayLike, int, int], Any]]
+#: module-level winner function (:func:`strict_l2_assign` or
+#: :func:`strict_l3_assign`) and the slice arguments it takes after
+#: ``(block, C)``.
+StrictAssign = Tuple[Callable[..., Tuple[np.ndarray, np.ndarray]],
+                     Tuple[Any, ...]]
 
 
 def map_assign(engine: "ExecutionEngine", kernel: KernelBackend,
@@ -220,7 +219,7 @@ def map_assign(engine: "ExecutionEngine", kernel: KernelBackend,
                blocks: Sequence[Tuple[int, int]],
                topology: Optional[ReduceTopology],
                bounds: Optional[BlockBounds] = None,
-               strict: Optional[StrictTasks] = None,
+               strict: Optional[StrictAssign] = None,
                chunk_elements: Optional[int] = None
                ) -> Tuple[Any, List[Any], np.ndarray, np.ndarray]:
     """One Assign+Accumulate sweep over ``blocks``, fanned out on ``engine``.
@@ -251,8 +250,10 @@ def map_assign(engine: "ExecutionEngine", kernel: KernelBackend,
     fn: Callable[[Any], BlockPartial]
     tasks: List[Any]
     if strict is not None:
-        fn, make_task = strict
-        tasks = [make_task(x_ref, c_ref, lo, hi) for lo, hi in blocks]
+        fn = strict_block
+        assign, slices = strict
+        tasks = [StrictTask(x_ref, c_ref, lo, hi, C.shape[0], assign, slices)
+                 for lo, hi in blocks]
     elif bounds is None:
         fn = fused_assign_block
         tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token, chunk_elements)
@@ -335,53 +336,33 @@ def strict_l3_assign(block: np.ndarray, C: np.ndarray,
     return best_idx, best_val
 
 
-class StrictL2Task:
-    """One Level-2 group's block under the strict-CPE dataflow."""
+class StrictTask:
+    """One group's block under a strict-CPE dataflow (Level 2 or 3).
 
-    __slots__ = ("x", "c", "lo", "hi", "k", "centroid_slices")
+    ``assign`` is the level's module-level winner function, so the record
+    pickles by reference; ``slices`` are its arguments after
+    ``(block, C)`` — the centroid slices, plus the dimension slices at
+    Level 3.
+    """
 
-    def __init__(self, x: ArrayLike, c: ArrayLike, lo: int, hi: int,
-                 k: int, centroid_slices: Sequence[Tuple[int, int]]) -> None:
+    __slots__ = ("x", "c", "lo", "hi", "k", "assign", "slices")
+
+    def __init__(self, x: ArrayLike, c: ArrayLike, lo: int, hi: int, k: int,
+                 assign: Callable[..., Tuple[np.ndarray, np.ndarray]],
+                 slices: Sequence[Sequence[Tuple[int, int]]]) -> None:
         self.x = x
         self.c = c
         self.lo = int(lo)
         self.hi = int(hi)
         self.k = int(k)
-        self.centroid_slices = tuple(centroid_slices)
+        self.assign = assign
+        self.slices = tuple(tuple(part) for part in slices)
 
 
-def strict_l2_block(task: StrictL2Task) -> BlockPartial:
+def strict_block(task: StrictTask) -> BlockPartial:
     X = as_ndarray(task.x)
     C = as_ndarray(task.c)
     block = X[task.lo:task.hi]
-    idx, best = strict_l2_assign(block, C, task.centroid_slices)
+    idx, best = task.assign(block, C, *task.slices)
     sums, counts = accumulate(block, idx, task.k)
     return BlockPartial(sums, counts, task.lo, task.hi, idx, best)
-
-
-class StrictL3Task:
-    """One Level-3 CG group's block under the strict-CPE dataflow."""
-
-    __slots__ = ("x", "c", "lo", "hi", "k", "centroid_slices", "dim_slices")
-
-    def __init__(self, x: ArrayLike, c: ArrayLike, lo: int, hi: int,
-                 k: int, centroid_slices: Sequence[Tuple[int, int]],
-                 dim_slices: Sequence[Tuple[int, int]]) -> None:
-        self.x = x
-        self.c = c
-        self.lo = int(lo)
-        self.hi = int(hi)
-        self.k = int(k)
-        self.centroid_slices = tuple(centroid_slices)
-        self.dim_slices = tuple(dim_slices)
-
-
-def strict_l3_block(task: StrictL3Task) -> BlockPartial:
-    X = as_ndarray(task.x)
-    C = as_ndarray(task.c)
-    block = X[task.lo:task.hi]
-    idx, best = strict_l3_assign(block, C, task.centroid_slices,
-                                 task.dim_slices)
-    sums, counts = accumulate(block, idx, task.k)
-    return BlockPartial(sums, counts, task.lo, task.hi, idx, best)
-

@@ -23,7 +23,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -266,6 +266,44 @@ class CheckpointStore:
         self.last = Checkpoint(iteration=int(checkpoint.iteration),
                                centroids=np.array(checkpoint.centroids,
                                                   copy=True))
+
+    def resume(self, C: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Load, verify and adopt the durable snapshot (``resume=True``).
+
+        Returns the centroids to start from and the iteration they were
+        taken at: ``(C, 0)`` — a cold start from the passed centroids —
+        when the directory holds no snapshot yet.  The snapshot must match
+        ``C``'s shape and is cast to its dtype.  A resume or cold start is
+        recorded as one ``resume`` (or ``integrity``) host event.
+        """
+        record = self._record or _null_record
+        try:
+            snapshot = load_checkpoint(self.directory, integrity=self.integrity)
+        except IntegrityError as exc:
+            # Under repair a rotted snapshot is survivable: fall back to a
+            # cold start (the same thing an empty directory means).  verify
+            # and off surface the damage — a wrong-bytes resume would
+            # silently diverge.
+            if self.integrity != "repair":
+                raise
+            record("integrity",
+                   f"durable snapshot failed verification ({exc}); "
+                   f"cold start")
+            return C, 0
+        if snapshot is None:
+            record("resume", f"no snapshot in {self.directory!r}; cold start")
+            return C, 0
+        if snapshot.centroids.shape != C.shape:
+            raise ConfigurationError(
+                f"checkpoint in {self.directory!r} holds centroids of shape "
+                f"{snapshot.centroids.shape}, but this run uses {C.shape}"
+            )
+        self.adopt(snapshot)
+        record("resume", f"resumed from {self.directory!r} at iteration "
+               f"{snapshot.iteration}")
+        restored = np.array(snapshot.centroids, copy=True).astype(
+            C.dtype, copy=False)
+        return restored, int(snapshot.iteration)
 
     def maybe_save(self, iteration: int, centroids: np.ndarray,
                    rng_state: Optional[dict] = None) -> bool:

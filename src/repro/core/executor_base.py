@@ -20,7 +20,6 @@ from ..errors import (
     ConfigurationError,
     ConvergenceWarning,
     FaultError,
-    IntegrityError,
     NumericalFaultError,
 )
 from ..machine.machine import DegradedMachine, Machine
@@ -43,9 +42,9 @@ from ._common import (
     update_centroids,
     validate_data,
 )
-from .block_tasks import StrictTasks, map_assign
+from .block_tasks import StrictAssign, map_assign
 from .bounds import BlockBounds
-from .checkpoint import CheckpointConfig, CheckpointStore, load_checkpoint
+from .checkpoint import CheckpointConfig, CheckpointStore
 from .kernels import KernelLike, resolve_kernel
 from .recovery import RecoveryLike, resolve_recovery
 from .result import IterationStats, KMeansResult
@@ -359,7 +358,7 @@ class LevelExecutor(ABC):
     def _map_assign(self, X: np.ndarray, C: np.ndarray,
                     blocks: Sequence[Tuple[int, int]],
                     topology: Optional[ReduceTopology],
-                    strict: Optional[StrictTasks] = None
+                    strict: Optional[StrictAssign] = None
                     ) -> Tuple[Any, List[Any], np.ndarray, np.ndarray]:
         """This executor's Assign sweep over the plan's sample blocks.
 
@@ -477,56 +476,6 @@ class LevelExecutor(ABC):
 
     # -- driver --------------------------------------------------------------------
 
-    def _load_resume_state(self, C: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Load the durable snapshot for a ``resume=True`` run.
-
-        Returns the centroids to start from and the iteration they were
-        taken at (0 when the directory holds no snapshot yet — a cold
-        start).  The snapshot must match the requested problem shape.
-        """
-        # A durable snapshot holds (iteration, centroids) only — any
-        # in-memory bound state predates the restore and must not leak
-        # into the resumed trajectory (invariant: bounds invalidation).
-        self._pruned_bounds.invalidate()
-        try:
-            snapshot = load_checkpoint(self.checkpoints.directory,
-                                       integrity=self.integrity)
-        except IntegrityError as exc:
-            # Under repair a rotted snapshot is survivable: fall back to a
-            # cold start from the passed centroids (the same thing an empty
-            # directory means).  verify and off surface the damage — a
-            # wrong-bytes resume would silently diverge.
-            if self.integrity != "repair":
-                raise
-            self.supervisor.record(
-                "integrity",
-                f"durable snapshot failed verification ({exc}); "
-                f"cold start",
-            )
-            return C, 0
-        if snapshot is None:
-            self.supervisor.record(
-                "resume",
-                f"no snapshot in {self.checkpoints.directory!r}; "
-                f"cold start",
-            )
-            return C, 0
-        if snapshot.centroids.shape != C.shape:
-            raise ConfigurationError(
-                f"checkpoint in {self.checkpoints.directory!r} holds "
-                f"centroids of shape {snapshot.centroids.shape}, but this "
-                f"run uses {C.shape}"
-            )
-        self.checkpoints.adopt(snapshot)
-        self.supervisor.record(
-            "resume",
-            f"resumed from {self.checkpoints.directory!r} at iteration "
-            f"{snapshot.iteration}",
-        )
-        restored = np.array(snapshot.centroids, copy=True).astype(
-            C.dtype, copy=False)
-        return restored, int(snapshot.iteration)
-
     def run(self, X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
             tol: float = 0.0) -> KMeansResult:
         """Run to convergence (or ``max_iter``) from ``centroids``."""
@@ -538,7 +487,11 @@ class LevelExecutor(ABC):
 
         start_iteration = 0
         if self.resume:
-            C, start_iteration = self._load_resume_state(C)
+            # A durable snapshot holds (iteration, centroids) only — any
+            # in-memory bound state predates the restore and must not leak
+            # into the resumed trajectory (invariant: bounds invalidation).
+            self._pruned_bounds.invalidate()
+            C, start_iteration = self.checkpoints.resume(C)
         self.setup(X, C)
         if start_iteration > 0:
             # Epoch numbering continues where the killed run left off, so

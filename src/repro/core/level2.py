@@ -15,7 +15,6 @@ cores are added.
 
 from __future__ import annotations
 
-import functools
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +25,7 @@ from ..runtime.compute import distance_flops
 from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
 from ..runtime.regcomm import RegisterComm
-from .block_tasks import StrictL2Task, strict_l2_block
+from .block_tasks import strict_l2_assign
 from .executor_base import LevelExecutor
 from .partition import Level2Plan, plan_level2
 from .result import KMeansResult
@@ -110,8 +109,7 @@ class Level2Executor(LevelExecutor):
         topology = self.reduce.for_groups(
             [self._groups_by_cg[cg] for cg in sorted(self._groups_by_cg)])
         pruned = self.kernel.name == "pruned"
-        strict = (strict_l2_block, functools.partial(
-            StrictL2Task, k=k, centroid_slices=plan.centroid_slices)) \
+        strict = (strict_l2_assign, (plan.centroid_slices,)) \
             if self.strict_cpe else None
         merged, partials, assignments, best_d2 = self._map_assign(
             X, C, plan.sample_blocks, topology, strict=strict)

@@ -23,7 +23,6 @@ which is what lets k and d scale independently.
 
 from __future__ import annotations
 
-import functools
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from ..runtime.compute import distance_flops
 from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
 from ..runtime.regcomm import RegisterComm
-from .block_tasks import StrictL3Task, strict_l3_block
+from .block_tasks import strict_l3_assign
 from .executor_base import LevelExecutor
 from .partition import Level3Plan, plan_level3
 from .result import KMeansResult
@@ -125,9 +124,8 @@ class Level3Executor(LevelExecutor):
         # the group count, so engine-independent); the per-group partials
         # also feed the accumulate cost model below.
         pruned = self.kernel.name == "pruned"
-        strict = (strict_l3_block, functools.partial(
-            StrictL3Task, k=k, centroid_slices=plan.centroid_slices,
-            dim_slices=plan.dim_slices)) if self.strict_cpe else None
+        strict = (strict_l3_assign, (plan.centroid_slices, plan.dim_slices)) \
+            if self.strict_cpe else None
         merged, partials, assignments, best_d2 = self._map_assign(
             X, C, plan.sample_blocks, self.reduce, strict=strict)
         global_sums, global_counts = merged.sums, merged.counts

@@ -20,7 +20,6 @@ import numpy as np
 from ..errors import (
     ConfigurationError,
     ConvergenceWarning,
-    IntegrityError,
     NumericalFaultError,
 )
 from ..runtime.engine import EngineLike, resolve_engine
@@ -37,7 +36,7 @@ from ._common import (
 )
 from .block_tasks import map_assign
 from .bounds import BlockBounds
-from .checkpoint import CheckpointConfig, CheckpointStore, load_checkpoint
+from .checkpoint import CheckpointConfig, CheckpointStore
 from .kernels import KernelLike, PrunedKernel, resolve_kernel
 from .result import IterationStats, KMeansResult
 
@@ -157,39 +156,7 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
 
     start_iteration = 0
     if resume:
-        try:
-            snapshot = load_checkpoint(checkpoint_dir,
-                                       integrity=exec_engine.integrity)
-        except IntegrityError as exc:
-            # repair treats a rotted snapshot like a missing one: cold
-            # start from the passed centroids.  verify/off surface it.
-            if exec_engine.integrity != "repair":
-                raise
-            snapshot = None
-            run_supervisor.record(
-                "integrity",
-                f"durable snapshot failed verification ({exc}); "
-                f"cold start",
-            )
-        if snapshot is None:
-            run_supervisor.record(
-                "resume", f"no snapshot in {checkpoint_dir!r}; cold start")
-        elif snapshot.centroids.shape != C.shape:
-            raise ConfigurationError(
-                f"checkpoint in {checkpoint_dir!r} holds centroids of "
-                f"shape {snapshot.centroids.shape}, but this run uses "
-                f"{C.shape}"
-            )
-        else:
-            C = np.array(snapshot.centroids, copy=True).astype(
-                X.dtype, copy=False)
-            start_iteration = int(snapshot.iteration)
-            checkpoints.adopt(snapshot)
-            run_supervisor.record(
-                "resume",
-                f"resumed from {checkpoint_dir!r} at iteration "
-                f"{start_iteration}",
-            )
+        C, start_iteration = checkpoints.resume(C)
     if start_iteration == 0:
         checkpoints.save_initial(C)
     # Pruned bound state is created *after* any resume restore: the carrier

@@ -24,18 +24,22 @@ Three engines ship:
     :mod:`repro.runtime.process_engine`.
 
 Determinism contract: an engine only changes *scheduling*, never results.
-Both engines run the identical per-block function over the identical block
-list and return results in submission order; because the callers merge the
+Every engine runs the identical per-block function over the identical block
+list and returns results in submission order; because the callers merge the
 float partials in that fixed order, centroids, assignments, modelled ledger
 seconds, and fault-event replays are bit-identical across engines and
 worker counts.  ``tests/runtime/test_engine.py`` enforces this.
 
-Host robustness (PR 4): every task runs under a :class:`TaskPolicy` —
-bounded retries with exponential backoff and deterministic jitter, an
-optional per-task wall-clock timeout with speculative re-execution of
-stragglers, quarantine of a worker slot after repeated failures, and a
-sticky degradation ``thread → serial`` once the pool has no healthy slot
-left.  The retry path re-runs the *identical pure block function*, so the
+Host robustness: every task runs under a :class:`TaskPolicy`, and the
+supervision that does not depend on the scheduling lives once, in
+:class:`ExecutionEngine` — the map preamble (task ids, shared-operand
+verification, the inline path), the bounded retry ladder with exponential
+backoff and deterministic jitter, and the sticky degradation to inline
+serial execution once a pool is exhausted.  Each pooled engine keeps only
+what its own failure unit needs: the thread engine times out futures,
+writes off hung slots and quarantines pool threads; the process engine
+watches heartbeats, respawns dead workers and quarantines poison tasks.
+Every re-run executes the *identical pure block function*, so the
 determinism contract survives: only scheduling changes, never numbers.
 Modelled :class:`~repro.errors.FaultError` faults are exempt from engine
 retries — they belong to the simulated machine and flow straight to the
@@ -137,13 +141,18 @@ class TaskPolicy:
         shared RNG stream — so replays are bit-identical across engines,
         worker counts, and processes.
     timeout_s:
-        Per-task wall-clock timeout in real seconds (thread engine only;
-        None disables).  A task that exceeds it is speculatively re-run —
-        the straggler's slot is marked hung and its eventual result
-        discarded.  Inline (serial / degraded) execution cannot be
+        Per-task wall-clock timeout in real seconds (None disables).  On
+        the thread engine a task that exceeds it is speculatively re-run
+        inline — the straggler's slot is marked hung and its eventual
+        result discarded.  On the process engine the supervisor kills
+        the worker running it and re-queues the task, like any other
+        worker death.  Inline (serial / degraded) execution cannot be
         preempted, so timeouts are not enforced there.
     quarantine_after:
-        Failures on one worker slot before the slot is quarantined.
+        On the thread engine, failures on one pool thread before that
+        thread is quarantined.  On the process engine, worker deaths
+        caused by one task before that task is quarantined to inline
+        execution (poison quarantine).  The serial engine has neither.
     """
 
     max_retries: int = 2
@@ -204,8 +213,18 @@ def resolve_task_policy(policy: Optional[TaskPolicy] = None) -> TaskPolicy:
     )
 
 
+def _resolve_workers(workers: Optional[int]) -> int:
+    """A pool width: ``None`` means one worker per CPU; below 1 is an error."""
+    if workers is None:
+        return os.cpu_count() or 1
+    workers = int(workers)
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 class _QuarantinedSlot(Exception):
-    """Internal: a quarantined pool thread refused a task (re-run elsewhere)."""
+    """Internal: a quarantined pool thread refused a task (re-run inline)."""
 
 
 def _combine_pair(combine: CombineFn, pair: Tuple[Any, Any]) -> Any:
@@ -262,14 +281,31 @@ class ExecutionEngine(ABC):
         self._share_counter = 0
         self._shared: Dict[str, _SharedEntry] = {}
         self._last_map_ids: range = range(0)
+        self._degraded = False
 
     @abstractmethod
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> List[_R]:
         """Apply ``fn`` to every item; results in submission order.
 
         Implementations must not reorder results — callers rely on the
-        fixed order to merge float partials deterministically.
+        fixed order to merge float partials deterministically.  Each
+        engine delegates to :meth:`_map_tasks`, handing it the pool run
+        its scheduling needs.
         """
+
+    @property
+    def degraded(self) -> bool:
+        """True once the engine has fallen back to inline serial execution."""
+        return self._degraded
+
+    def _degrade(self, reason: str) -> None:
+        """Fall back (stickily) to inline serial execution for every map."""
+        self._degraded = True
+        self._record(
+            "degraded_serial",
+            f"{self.name} pool exhausted ({reason}); falling back to "
+            f"inline serial execution",
+        )
 
     def share(self, key: str, array: np.ndarray) -> Any:
         """Publish a large read-only operand for the tasks of coming maps.
@@ -289,7 +325,16 @@ class ExecutionEngine(ABC):
         engine records a CRC32 of the pristine source and re-verifies the
         published bytes before the next :meth:`map` dispatches tasks.
         """
-        shared = self._publish(key, array)
+        crc: Optional[int] = None
+        prev = self._shared.get(key)
+        if prev is not None and prev.source is not array:
+            prev = None
+        if self.integrity != "off" and isinstance(array, np.ndarray):
+            # Identity re-publish (the per-iteration X): the source bytes
+            # are unchanged, so the recorded checksum carries over without
+            # another CRC pass.
+            crc = prev.crc if prev is not None else crc32_array(array)
+        shared = self._publish(key, array, crc)
         share_id = self._share_counter
         self._share_counter += 1
         corrupted = False
@@ -300,32 +345,24 @@ class ExecutionEngine(ABC):
             if offset is not None:
                 corrupted = True
                 shared = self._corrupt_shared(key, shared, int(offset))
-        if self.integrity != "off" and isinstance(array, np.ndarray):
-            prev = self._shared.get(key)
-            if prev is not None and prev.source is array:
-                # Identity re-publish (the per-iteration X): the source
-                # bytes are unchanged, so the recorded checksum carries
-                # over without another CRC pass — and when the published
-                # value is unchanged too, so does its verified state.
-                entry = _SharedEntry(array, shared, prev.crc)
+        if crc is not None:
+            entry = _SharedEntry(array, shared, crc)
+            if prev is not None:
+                # When the published value is unchanged too, so is its
+                # verified state.
                 same_value = (shared is prev.value
                               or (not isinstance(shared, np.ndarray)
                                   and shared == prev.value))
                 entry.verified = (prev.verified and not corrupted
                                   and same_value)
-            else:
-                # The process engine already stamped the handle with the
-                # source checksum; reuse it rather than re-hashing.
-                crc = getattr(shared, "crc", None)
-                if crc is None:
-                    crc = crc32_array(array)
-                entry = _SharedEntry(array, shared, int(crc))
             self._shared[key] = entry
         return shared
 
-    def _publish(self, key: str, array: np.ndarray) -> Any:
+    def _publish(self, key: str, array: np.ndarray,
+                 crc: Optional[int]) -> Any:
         """Engine-specific publication; in-process engines share by
-        reference."""
+        reference.  ``crc`` is the source's CRC32 (None when integrity is
+        off)."""
         return array
 
     # -- shared-operand integrity --------------------------------------------
@@ -606,6 +643,26 @@ class ExecutionEngine(ABC):
             self._task_counter += n
         return range(start, start + n)
 
+    def _map_tasks(self, fn: Callable[[_T], _R], items: Iterable[_T],
+                   pool_map: Optional[Callable[..., List[_R]]] = None
+                   ) -> List[_R]:
+        """The map every engine runs: the preamble, then inline or pooled.
+
+        Lists the items, issues their task ids, and verifies the shared
+        operands before any task starts.  A single-worker engine, a map of
+        at most one item, and a degraded engine run the tasks inline;
+        otherwise ``pool_map(fn, work, task_ids)`` schedules them.
+        """
+        work: Sequence[_T] = list(items)
+        task_ids = self._issue_task_ids(len(work))
+        self._last_map_ids = task_ids
+        self._verify_shared()
+        if pool_map is None or self.workers == 1 or len(work) <= 1 \
+                or self._degraded:
+            return [self._run_serial_task(fn, item, tid)
+                    for item, tid in zip(work, task_ids)]
+        return pool_map(fn, work, task_ids)
+
     def _attempt(self, fn: Callable[[_T], _R], item: _T, task_id: int,
                  attempt: int) -> _R:
         """One attempt at one task, with the chaos hooks around it.
@@ -626,11 +683,30 @@ class ExecutionEngine(ABC):
                                            self._record)
         return result
 
+    def _retry_step(self, exc: Exception, task_id: int, attempt: int) -> None:
+        """Admit retry ``attempt`` (1-based) of a failed task, or re-raise.
+
+        The one retry rule of every engine: past ``policy.max_retries``
+        the original exception propagates; otherwise the deterministic
+        backoff is recorded as a ``task_retry`` event and slept.
+        """
+        if attempt > self.policy.max_retries:
+            raise exc
+        delay = self.policy.backoff_delay(task_id, attempt)
+        self._record(
+            "task_retry",
+            f"task {task_id} attempt {attempt} after "
+            f"{type(exc).__name__}: {exc}",
+            delay,
+        )
+        if delay > 0:
+            time.sleep(delay)
+
     def _run_serial_task(self, fn: Callable[[_T], _R], item: _T,
                          task_id: int, start_attempt: int = 0) -> _R:
         """Inline execution with the bounded-retry policy (no timeout).
 
-        ``start_attempt`` lets the process engine continue a task's ladder
+        ``start_attempt`` lets a pooled engine continue a task's ladder
         inline after pool-side failures: chaos hooks are attempt-gated, so
         a re-run at attempt ``n`` sees exactly what a pool re-run would.
         """
@@ -642,21 +718,9 @@ class ExecutionEngine(ABC):
                 # Modelled machine faults belong to the recovery policies,
                 # not to host retries.
                 raise
-            except _QuarantinedSlot:  # pragma: no cover - inline never
-                raise
             except Exception as exc:
                 attempt += 1
-                if attempt > self.policy.max_retries:
-                    raise
-                delay = self.policy.backoff_delay(task_id, attempt)
-                self._record(
-                    "task_retry",
-                    f"task {task_id} attempt {attempt} after "
-                    f"{type(exc).__name__}: {exc}",
-                    delay,
-                )
-                if delay > 0:
-                    time.sleep(delay)
+                self._retry_step(exc, task_id, attempt)
 
 
 class SerialEngine(ExecutionEngine):
@@ -666,12 +730,7 @@ class SerialEngine(ExecutionEngine):
     workers = 1
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> List[_R]:
-        work: Sequence[_T] = list(items)
-        task_ids = self._issue_task_ids(len(work))
-        self._last_map_ids = task_ids
-        self._verify_shared()
-        return [self._run_serial_task(fn, item, tid)
-                for item, tid in zip(work, task_ids)]
+        return self._map_tasks(fn, items)
 
 
 # One shared pool per worker count.  Pools are processwide because
@@ -744,9 +803,9 @@ class ThreadEngine(ExecutionEngine):
     * a failed task attempt is retried up to ``policy.max_retries`` times
       with jittered exponential backoff, inline in the collecting thread;
     * a task exceeding ``policy.timeout_s`` marks its slot hung, is
-      speculatively re-run, and the straggler's result is discarded;
+      speculatively re-run inline, and the straggler's result is discarded;
     * a slot that accumulates ``policy.quarantine_after`` failures is
-      quarantined — it refuses further tasks, which re-run elsewhere;
+      quarantined — it refuses further tasks, which re-run inline;
     * when hung + quarantined slots exhaust the pool, the engine
       degrades (stickily) to inline serial execution.
 
@@ -760,17 +819,11 @@ class ThreadEngine(ExecutionEngine):
                  policy: Optional[TaskPolicy] = None, chaos=None,
                  integrity: Optional[str] = None) -> None:
         super().__init__(policy=policy, chaos=chaos, integrity=integrity)
-        if workers is None:
-            workers = os.cpu_count() or 1
-        workers = int(workers)
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        self.workers = _resolve_workers(workers)
         self._state_lock = threading.Lock()
         self._slot_failures: Dict[int, int] = {}
         self._quarantined: set = set()
         self._hung = 0
-        self._degraded = False
 
     # -- pool-health bookkeeping --------------------------------------------
 
@@ -779,11 +832,6 @@ class ThreadEngine(ExecutionEngine):
         """Worker slots neither hung on a straggler nor quarantined."""
         with self._state_lock:
             return self.workers - self._hung - len(self._quarantined)
-
-    @property
-    def degraded(self) -> bool:
-        """True once the engine has fallen back to inline serial execution."""
-        return self._degraded
 
     def _note_slot_failure(self) -> None:
         ident = threading.get_ident()
@@ -810,13 +858,8 @@ class ThreadEngine(ExecutionEngine):
 
     def _maybe_degrade(self) -> None:
         if not self._degraded and self.healthy_slots < 1:
-            self._degraded = True
-            self._record(
-                "degraded_serial",
-                f"thread pool exhausted ({self.workers} workers, "
-                f"{self._hung} hung, {len(self._quarantined)} quarantined); "
-                f"falling back to inline serial execution",
-            )
+            self._degrade(f"{self.workers} workers, {self._hung} hung, "
+                          f"{len(self._quarantined)} quarantined")
 
     # -- task execution ------------------------------------------------------
 
@@ -835,92 +878,58 @@ class ThreadEngine(ExecutionEngine):
             self._note_slot_failure()
             raise
 
-    def _collect(self, pool: ThreadPoolExecutor, fn: Callable[[_T], _R],
-                 item: _T, task_id: int, future) -> _R:
-        """Resolve one task's attempt-0 future, driving the retry ladder."""
-        attempt = 0
-        timeouts = 0
-        while True:
-            if future is not None:
-                try:
-                    return future.result(timeout=self.policy.timeout_s)
-                except _FuturesTimeout:
-                    timeouts += 1
-                    self._note_hung_slot()
-                    self._record(
-                        "task_timeout",
-                        f"task {task_id} attempt {attempt} still running "
-                        f"after {self.policy.timeout_s:g}s; speculative "
-                        f"re-run",
-                        self.policy.timeout_s or 0.0,
-                    )
-                    if timeouts > self.policy.max_retries:
-                        raise TaskTimeoutError(
-                            f"task {task_id} timed out on {timeouts} "
-                            f"attempts ({self.policy.timeout_s:g}s each)"
-                        ) from None
-                    # Speculative re-execution: same (task_id, attempt) so
-                    # a chaos slow-block decision is not re-rolled; the
-                    # straggler's eventual result is simply discarded.
-                    future = None
-                    continue
-                except _QuarantinedSlot:
-                    # Not a real attempt — re-run at the same attempt number.
-                    future = None
-                    continue
-                except FaultError:
-                    raise
-                except Exception as exc:
-                    attempt += 1
-                    if attempt > self.policy.max_retries:
-                        raise
-                    delay = self.policy.backoff_delay(task_id, attempt)
-                    self._record(
-                        "task_retry",
-                        f"task {task_id} attempt {attempt} after "
-                        f"{type(exc).__name__}: {exc}",
-                        delay,
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-                    future = None
-                    continue
-            # Re-runs execute inline in the collecting thread: deterministic,
-            # immune to further pool sickness, and exempt from timeouts
-            # (inline code cannot be preempted).
-            try:
-                return self._attempt(fn, item, task_id, attempt)
-            except FaultError:
-                raise
-            except Exception as exc:
-                attempt += 1
-                if attempt > self.policy.max_retries:
-                    raise
-                delay = self.policy.backoff_delay(task_id, attempt)
-                self._record(
-                    "task_retry",
-                    f"task {task_id} attempt {attempt} after "
-                    f"{type(exc).__name__}: {exc}",
-                    delay,
-                )
-                if delay > 0:
-                    time.sleep(delay)
+    def _collect(self, fn: Callable[[_T], _R], item: _T, task_id: int,
+                 future) -> _R:
+        """Resolve one task's attempt-0 future; every re-run goes inline.
 
-    def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> List[_R]:
-        work: Sequence[_T] = list(items)
-        task_ids = self._issue_task_ids(len(work))
-        self._last_map_ids = task_ids
-        self._verify_shared()
-        if self.workers == 1 or len(work) <= 1 or self._degraded:
-            return [self._run_serial_task(fn, item, tid)
-                    for item, tid in zip(work, task_ids)]
+        Only attempt 0 runs on the pool.  Re-runs execute inline in the
+        collecting thread: deterministic, immune to further pool sickness,
+        and exempt from timeouts (inline code cannot be preempted).
+        """
+        attempt = 0
+        try:
+            return future.result(timeout=self.policy.timeout_s)
+        except _FuturesTimeout:
+            self._note_hung_slot()
+            self._record(
+                "task_timeout",
+                f"task {task_id} attempt {attempt} still running after "
+                f"{self.policy.timeout_s:g}s; speculative re-run",
+                self.policy.timeout_s or 0.0,
+            )
+            # The one timeout a task can meet already exceeds a zero
+            # retry budget.
+            if self.policy.max_retries == 0:
+                raise TaskTimeoutError(
+                    f"task {task_id} timed out after "
+                    f"{self.policy.timeout_s:g}s and max_retries=0 allows "
+                    f"no re-run"
+                ) from None
+            # Speculative re-execution: same (task_id, attempt) so a chaos
+            # slow-block decision is not re-rolled; the straggler's
+            # eventual result is simply discarded.
+        except _QuarantinedSlot:
+            pass  # not a real attempt: re-run at the same attempt number
+        except FaultError:
+            raise
+        except Exception as exc:
+            attempt = 1
+            self._retry_step(exc, task_id, attempt)
+        return self._run_serial_task(fn, item, task_id,
+                                     start_attempt=attempt)
+
+    def _map_on_pool(self, fn: Callable[[_T], _R], work: Sequence[_T],
+                     task_ids: range) -> List[_R]:
         pool = _shared_pool(self.workers)
         futures = [pool.submit(self._pool_attempt, fn, item, tid, 0)
                    for item, tid in zip(work, task_ids)]
         # Collect in submission order regardless of completion order —
         # exactly the determinism contract.
-        return [self._collect(pool, fn, item, tid, fut)
+        return [self._collect(fn, item, tid, fut)
                 for item, tid, fut in zip(work, task_ids, futures)]
+
+    def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> List[_R]:
+        return self._map_tasks(fn, items, self._map_on_pool)
 
 
 #: Anything :func:`resolve_engine` accepts.
@@ -953,11 +962,12 @@ def resolve_engine(engine: EngineLike = None,
     a passed-through instance's current mode.
 
     ``engine="process"`` degrades gracefully rather than crash: on hosts
-    without the fork start method, or with a single CPU and no explicit
-    worker count, the serial engine comes back carrying an
-    ``engine_fallback`` host event.  An explicit ``workers>1`` always gets
-    a real process pool (oversubscription is how single-CPU CI exercises
-    it).
+    without the fork start method, with ``workers=1``, or with a single
+    CPU and no explicit worker count, the serial engine comes back
+    carrying an ``engine_fallback`` host event.  An explicit ``workers>1``
+    always gets a real process pool (oversubscription is how single-CPU
+    CI exercises it).  A worker count below 1 is a
+    :class:`~repro.errors.ConfigurationError` whatever the engine.
     """
     if isinstance(engine, ExecutionEngine):
         if workers is not None and workers != engine.workers:
@@ -981,6 +991,8 @@ def resolve_engine(engine: EngineLike = None,
                 engine = "thread"
             else:
                 engine = "serial"
+    if workers is not None:
+        workers = _resolve_workers(workers)
     from .chaos import resolve_chaos  # late import: chaos imports errors only
     chaos = resolve_chaos()
     mode = resolve_integrity(integrity)
@@ -1004,9 +1016,8 @@ def resolve_engine(engine: EngineLike = None,
                 "this host lacks; degrading to the serial engine",
             )
             return fallback
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers <= 1:
+        workers = _resolve_workers(workers)
+        if workers == 1:
             fallback = SerialEngine(chaos=chaos, integrity=mode)
             fallback._record(
                 "engine_fallback",

@@ -1,7 +1,7 @@
 """Crash-tolerant process-pool execution engine.
 
 The thread engine breaks the serial ceiling only where NumPy releases the
-GIL; ROADMAP item 1 calls for real OS processes behind the same
+GIL; this engine runs block tasks in real OS processes behind the same
 :class:`~repro.runtime.engine.ExecutionEngine` seam.  Moving block tasks
 into processes buys parallelism the GIL cannot touch — and failure modes
 the thread engine can never see: workers SIGKILL'd by the OOM killer,
@@ -19,10 +19,10 @@ cross-process lock, wedging every survivor — a dead worker's pipe is simply
 discarded).  Large operands travel zero-copy: the engine's :meth:`share`
 publishes ``X``/``C`` into a :class:`~repro.runtime.shm.SharedArena` and
 tasks carry tiny :class:`~repro.runtime.shm.ArrayRef` handles; results come
-back as compact ``SumCountPartial``-shaped objects.  Results are collected
-in submission order and merged under the reduction topology, so centroids,
-ledgers, and fault replays are bit-identical to the serial engine — the
-same determinism contract every engine obeys.
+back as compact :class:`~repro.runtime.reduce.BlockPartial` objects.
+Results are collected in submission order and merged under the reduction
+topology, so centroids, ledgers, and fault replays are bit-identical to the
+serial engine — the same determinism contract every engine obeys.
 
 Supervision (the headline robustness layer)
 -------------------------------------------
@@ -34,7 +34,8 @@ Supervision (the headline robustness layer)
 * **Dead-worker detection** — the supervision loop watches worker
   exitcodes every tick; a worker whose beat goes stale past the heartbeat
   timeout (``REPRO_HEARTBEAT``) while it holds a task — e.g. SIGSTOP'd by
-  ``worker_hang`` chaos — is SIGKILL'd and treated as dead.
+  ``worker_hang`` chaos — or whose task runs past ``TaskPolicy.timeout_s``
+  is SIGKILL'd and treated as dead.
 * **Bounded respawn with deterministic backoff** — a dead worker's slot is
   respawned after ``backoff_s * factor^min(streak-1, 6)`` seconds (streak
   resets on any completed task); the per-map respawn budget is
@@ -54,21 +55,28 @@ Every decision lands in the run's host events (``worker_lost``,
 :meth:`~repro.runtime.engine.ExecutionEngine.drain_events` →
 :meth:`~repro.runtime.supervisor.RunSupervisor.absorb` path.
 
-Error semantics match the thread engine: an ordinary exception raised by a
-task drives the bounded-retry ladder (re-runs execute inline in the
-parent); modelled :class:`~repro.errors.FaultError` faults pass straight
-through to the recovery policies.  Chaos hooks run *inside the worker*
-(attempt-0 only), which is what lets ``worker_kill``/``worker_hang`` crash
-real processes; the resulting numbers are still bit-identical because
-every re-run executes the identical pure block function.
+Error semantics match the thread engine, because both use the one retry
+ladder of :class:`~repro.runtime.engine.ExecutionEngine`: an ordinary
+exception raised by a task on a worker is retried inline in the parent
+(worker deaths count towards its attempt number, not towards
+``max_retries``); modelled :class:`~repro.errors.FaultError` faults pass
+straight through to the recovery policies.  The map preamble, the
+degrade path and the worker count are shared the same way; heartbeats,
+respawn and poison quarantine are this engine's own, because its failure
+unit is a worker process rather than a pool thread.  Chaos hooks run
+*inside the worker* (attempt-0 only), which is what lets
+``worker_kill``/``worker_hang`` crash real processes; the resulting
+numbers are still bit-identical because every re-run executes the
+identical pure block function.
 
 Selection: ``engine="process"`` (facade/executors/lloyd/CLI) or
 ``REPRO_ENGINE=process``; worker count from ``workers=``/``REPRO_WORKERS``.
 :func:`~repro.runtime.engine.resolve_engine` degrades to the serial engine
 (with an ``engine_fallback`` host event, never a crash) when the fork
-start method is unavailable or the host has a single CPU and no explicit
-worker count.  Callables must be module-level (picklable) — reprolint rule
-W604 enforces this statically at every engine call site.
+start method is unavailable, when ``workers=1``, or when the host has a
+single CPU and no explicit worker count.  Callables must be module-level
+(picklable) — reprolint rule W604 enforces this statically at every engine
+call site.
 """
 
 from __future__ import annotations
@@ -76,7 +84,6 @@ from __future__ import annotations
 import bisect
 import functools
 import multiprocessing as mp
-import os
 import threading
 import time
 from multiprocessing.connection import wait as _conn_wait
@@ -99,9 +106,14 @@ from dataclasses import replace as _dc_replace
 from ..analysis.envvars import ENV_HEARTBEAT, read_float
 from ..errors import ConfigurationError, FaultError
 from .chaos import ChaosInjector, ChaosPlan
-from .engine import ExecutionEngine, TaskPolicy, _SharedEntry
-from .integrity import crc32_array, seal_partial
-from .shm import ArrayRef, SharedArena, make_heartbeats
+from .engine import (
+    ExecutionEngine,
+    TaskPolicy,
+    _resolve_workers,
+    _SharedEntry,
+)
+from .integrity import seal_partial
+from .shm import SharedArena, make_heartbeats
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -355,8 +367,10 @@ class ProcessEngine(ExecutionEngine):
         degenerates to the in-process loop (no pool, no fork), so the
         engine is safe to select unconditionally.
     policy:
-        :class:`~repro.runtime.engine.TaskPolicy`; retries and quarantine
-        bounds apply to worker deaths as described above.
+        :class:`~repro.runtime.engine.TaskPolicy`: ``max_retries`` bounds
+        the inline re-runs of a task that raised, ``quarantine_after`` the
+        worker deaths one task may cause, and ``timeout_s`` how long a
+        worker may hold one task, as described above.
     chaos:
         Optional injector; its plan ships inside every task message so the
         hooks (including the worker_* kinds) run worker-side.
@@ -378,12 +392,7 @@ class ProcessEngine(ExecutionEngine):
                 "the process engine needs the fork start method; "
                 "resolve_engine degrades to serial on such hosts"
             )
-        if workers is None:
-            workers = os.cpu_count() or 1
-        workers = int(workers)
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        self.workers = _resolve_workers(workers)
         if heartbeat_s is None:
             heartbeat_s = read_float(ENV_HEARTBEAT)
         if heartbeat_s is None:
@@ -396,18 +405,11 @@ class ProcessEngine(ExecutionEngine):
         # perfectly healthy workers between stamps.
         self.heartbeat_s = max(float(heartbeat_s), 4 * HEARTBEAT_INTERVAL)
         self._arena = SharedArena(tag="engine")
-        self._degraded = False
-
-    # -- state ---------------------------------------------------------------
-
-    @property
-    def degraded(self) -> bool:
-        """True once the engine has fallen back to inline serial execution."""
-        return self._degraded
 
     # -- zero-copy operand publishing ----------------------------------------
 
-    def _publish(self, key: str, array: np.ndarray) -> Any:
+    def _publish(self, key: str, array: np.ndarray,
+                 crc: Optional[int]) -> Any:
         """Publish a large read-only operand; returns an ArrayRef handle.
 
         Tasks resolve the handle with :func:`repro.runtime.shm.as_ndarray`
@@ -422,12 +424,7 @@ class ProcessEngine(ExecutionEngine):
         if self.workers == 1 or self._degraded:
             return array
         ref = self._arena.publish(key, array)
-        if self.integrity != "off" and isinstance(ref, ArrayRef):
-            prev = self._shared.get(key)
-            crc = (prev.crc if prev is not None and prev.source is array
-                   else crc32_array(array))
-            ref = _dc_replace(ref, crc=crc)
-        return ref
+        return ref if crc is None else _dc_replace(ref, crc=crc)
 
     def _corrupt_shared(self, key: str, shared: Any, offset: int) -> Any:
         if isinstance(shared, np.ndarray):  # workers==1 / degraded inline
@@ -450,14 +447,10 @@ class ProcessEngine(ExecutionEngine):
     # -- map -----------------------------------------------------------------
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> List[_R]:
-        work: Sequence[_T] = list(items)
-        task_ids = list(self._issue_task_ids(len(work)))
-        self._last_map_ids = range(task_ids[0], task_ids[0] + len(task_ids)) \
-            if task_ids else range(0)
-        self._verify_shared()
-        if self.workers == 1 or len(work) <= 1 or self._degraded:
-            return [self._run_serial_task(fn, item, tid)
-                    for item, tid in zip(work, task_ids)]
+        return self._map_tasks(fn, items, self._map_on_pool)
+
+    def _map_on_pool(self, fn: Callable[[_T], _R], work: Sequence[_T],
+                     task_ids: range) -> List[_R]:
         if not _picklable_callable(fn):
             raise ConfigurationError(
                 f"the process engine ships callables to worker processes; "
@@ -472,15 +465,13 @@ class ProcessEngine(ExecutionEngine):
     # -- the supervised pool run ---------------------------------------------
 
     def _run_on_pool(self, pool: _ProcessPool, fn: Callable[[_T], _R],
-                     work: Sequence[_T], task_ids: List[int]) -> List[_R]:
+                     work: Sequence[_T], task_ids: range) -> List[_R]:
         n = len(work)
         policy = self.policy
         plan: Optional[ChaosPlan] = (
             self.chaos.plan if self.chaos is not None else None)
         results: List[Any] = [None] * n
-        done = [False] * n
         attempts = [0] * n      # failed tries of any type (deaths included)
-        failures = [0] * n      # ordinary exceptions (drive max_retries)
         deaths: Dict[int, int] = {}   # index -> workers killed by this task
         queue: List[int] = list(range(n))   # ascending = canonical order
         inflight: Dict[int, Tuple[int, float]] = {}  # slot -> (idx, t0)
@@ -493,24 +484,15 @@ class ProcessEngine(ExecutionEngine):
             nonlocal completed
             results[idx] = self._run_serial_task(
                 fn, work[idx], task_ids[idx], start_attempt=attempts[idx])
-            done[idx] = True
             completed += 1
-
-        def _degrade(reason: str) -> None:
-            self._degraded = True
-            pool.broken = True
-            self._record(
-                "degraded_serial",
-                f"process pool exhausted ({reason}); falling back to "
-                f"inline serial execution",
-            )
 
         def _respawn_slot(slot: int) -> None:
             nonlocal respawns, respawn_streak
             respawns += 1
             respawn_streak += 1
             if respawns > respawn_budget:
-                _degrade(f"respawn budget of {respawn_budget} exhausted")
+                self._degrade(f"respawn budget of {respawn_budget} exhausted")
+                pool.broken = True
                 return
             # Deterministic backoff: pure function of the streak length,
             # no wall clock or RNG in the delay itself.
@@ -625,30 +607,18 @@ class ProcessEngine(ExecutionEngine):
                 self._record(*event)
             if kind == "ok":
                 results[idx] = msg[2]
-                done[idx] = True
                 completed += 1
                 respawn_streak = 0
                 return
             exc = msg[2]
             if msg[4]:  # modelled FaultError: recovery's business, no retry
                 raise exc
-            failures[idx] += 1
             attempts[idx] += 1
-            if failures[idx] > policy.max_retries:
-                raise exc
-            delay = policy.backoff_delay(tid, failures[idx])
-            self._record(
-                "task_retry",
-                f"task {tid} attempt {failures[idx]} after "
-                f"{type(exc).__name__}: {exc}",
-                delay,
-            )
-            if delay > 0:
-                time.sleep(delay)
-            # Re-runs execute inline in the parent, like the thread
-            # engine's retry ladder: deterministic and immune to further
-            # pool sickness.  Chaos is attempt-gated, so the re-run is
-            # clean.
+            # A task raises on a worker at most once: its re-runs execute
+            # inline in the parent, like the thread engine's, so this is
+            # always the ladder's first retry.  Chaos is attempt-gated, so
+            # the re-run is clean.
+            self._retry_step(exc, tid, 1)
             _finish_inline(idx)
 
         try:

@@ -112,113 +112,15 @@ class Reducible(Protocol):
         ...
 
 
-class SumCountPartial:
-    """Per-block ``(sums, counts)`` accumulator partial.
-
-    The canonical payload of the Assign+Accumulate dataflow: ``sums`` is
-    the (k, d) per-centroid vector sum over the block, ``counts`` the
-    (k,) member tally.
-
-    ABFT fields (all carriers): ``crc`` is a CRC32 over the payload bytes
-    stamped by :func:`~repro.runtime.integrity.seal_partial` when the
-    integrity layer is on (None = unsealed, verification passes
-    vacuously), and — for the sums-bearing carriers — ``check_row`` is
-    the additive checksum row ``sums.sum(axis=0)`` whose preservation
-    every combine is checked against.  ``combine`` returns *unsealed*
-    objects; the verifying combine wrapper re-seals them.
-    """
-
-    __slots__ = ("sums", "counts", "crc", "check_row")
-
-    def __init__(self, sums: np.ndarray, counts: np.ndarray) -> None:
-        self.sums = sums
-        self.counts = counts
-        self.crc: Optional[int] = None
-        self.check_row: Optional[np.ndarray] = None
-
-    def _integrity_payload(self) -> Tuple[Any, ...]:
-        return (self.sums, self.counts)
-
-    def combine(self, other: "SumCountPartial") -> "SumCountPartial":
-        return SumCountPartial(self.sums + other.sums,
-                               self.counts + other.counts)
-
-    def __repr__(self) -> str:
-        return (f"SumCountPartial(sums={self.sums.shape}, "
-                f"counts={self.counts.shape})")
-
-
-class InertiaPartial:
-    """Per-block partial of the objective: sum of winning d^2 and count."""
-
-    __slots__ = ("total", "n", "crc")
-
-    def __init__(self, total: float, n: int) -> None:
-        self.total = float(total)
-        self.n = int(n)
-        self.crc: Optional[int] = None
-
-    def _integrity_payload(self) -> Tuple[Any, ...]:
-        return (self.total, self.n)
-
-    def combine(self, other: "InertiaPartial") -> "InertiaPartial":
-        return InertiaPartial(self.total + other.total, self.n + other.n)
-
-    @property
-    def mean(self) -> float:
-        """The inertia (mean winning squared distance) over the blocks."""
-        return self.total / self.n
-
-    def __repr__(self) -> str:
-        return f"InertiaPartial(total={self.total!r}, n={self.n})"
-
-
-class LabelPartial:
-    """Labels (and winning distances) of one contiguous sample block.
-
-    Combining adjacent blocks concatenates; the blocks must abut
-    (``self.hi == other.lo``), which every schedule guarantees because
-    merges always fold a later block into an earlier one.
-    """
-
-    __slots__ = ("lo", "hi", "labels", "best_d2", "crc")
-
-    def __init__(self, lo: int, hi: int, labels: np.ndarray,
-                 best_d2: np.ndarray) -> None:
-        self.lo = int(lo)
-        self.hi = int(hi)
-        self.labels = labels
-        self.best_d2 = best_d2
-        self.crc: Optional[int] = None
-
-    def _integrity_payload(self) -> Tuple[Any, ...]:
-        return (self.lo, self.hi, self.labels, self.best_d2)
-
-    def combine(self, other: "LabelPartial") -> "LabelPartial":
-        if self.hi != other.lo:
-            raise ConfigurationError(
-                f"LabelPartial blocks must abut: [{self.lo}, {self.hi}) "
-                f"then [{other.lo}, {other.hi})"
-            )
-        return LabelPartial(
-            self.lo, other.hi,
-            np.concatenate([self.labels, other.labels]),
-            np.concatenate([self.best_d2, other.best_d2]),
-        )
-
-    def __repr__(self) -> str:
-        return f"LabelPartial([{self.lo}, {self.hi}))"
-
-
 class BlockPartial:
     """The full Assign+Accumulate payload of one contiguous sample block.
 
-    What a block task returns when the caller needs *both* the accumulator
-    sums and the per-sample assignment labels: ``sums``/``counts`` as in
-    :class:`SumCountPartial`, plus the block's half-open sample range and
-    its ``labels`` (and optionally the winning squared distances).  The
-    whole object stays compact — labels are ``(hi - lo,)`` int32 — so it
-    is cheap to ship back from a worker process.
+    What a block task returns: the accumulator half — ``sums``, the (k, d)
+    per-centroid vector sum over the block, and ``counts``, the (k,)
+    member tally — plus the block's half-open sample range and its
+    ``labels`` (and optionally the winning squared distances).  The whole
+    object stays compact — labels are ``(hi - lo,)`` int32 — so it is
+    cheap to ship back from a worker process.
 
     ``combine`` merges only the accumulator half (sums and counts add, the
     covered range widens) and **drops the labels**: concatenating labels
@@ -226,6 +128,13 @@ class BlockPartial:
     consumer.  Callers recover the assignment vector from the *unreduced*
     partials list instead, via :func:`scatter_labels` — a fixed-order
     scatter into preallocated arrays.
+
+    ABFT fields: ``crc`` is a CRC32 over the payload bytes stamped by
+    :func:`~repro.runtime.integrity.seal_partial` when the integrity layer
+    is on (None = unsealed, verification passes vacuously), and
+    ``check_row`` is the additive checksum row ``sums.sum(axis=0)`` whose
+    preservation every combine is checked against.  ``combine`` returns
+    *unsealed* objects; the verifying combine wrapper re-seals them.
     """
 
     __slots__ = ("sums", "counts", "lo", "hi", "labels", "best_d2",

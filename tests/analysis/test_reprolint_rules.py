@@ -295,6 +295,15 @@ class TestD107:
         """
         assert findings_for(src, CORE, "D107")
 
+    def test_flags_bounds_read_after_checkpoint_resume(self) -> None:
+        src = """
+        def run(self, X, C):
+            self._pruned_bounds.invalidate()
+            C, start = self.checkpoints.resume(C)
+            return build_tasks(self.engine, X, C, self._pruned_bounds)
+        """
+        assert findings_for(src, CORE, "D107")
+
     def test_accepts_invalidate_between_restore_and_read(self):
         src = """
         def recover(self, X, C):

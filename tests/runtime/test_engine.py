@@ -8,6 +8,8 @@ across every partition level, serial Lloyd, and the fused/unfused
 kernel pair.
 """
 
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,13 @@ class TestResolveEngine:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigurationError):
             ThreadEngine(workers=0)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("name", ["serial", "thread", "process", None])
+    def test_resolve_rejects_worker_counts_below_one(
+            self, name: Optional[str], workers: int) -> None:
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            resolve_engine(name, workers=workers)
 
     def test_env_engine(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "thread")

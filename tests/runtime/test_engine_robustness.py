@@ -11,23 +11,29 @@ import sys
 import threading
 import time
 
+from typing import List
+
 import pytest
 
 from repro.errors import (
+    ChaosError,
     ConfigurationError,
     TaskTimeoutError,
     TransientDMAError,
 )
 from repro.runtime import engine as engine_mod
+from repro.runtime.chaos import resolve_chaos
 from repro.runtime.engine import (
     TASK_RETRIES_ENV,
     TASK_TIMEOUT_ENV,
+    ExecutionEngine,
     SerialEngine,
     TaskPolicy,
     ThreadEngine,
     resolve_task_policy,
     shutdown_pools,
 )
+from repro.runtime.process_engine import ProcessEngine
 
 
 class TestTaskPolicy:
@@ -132,6 +138,45 @@ class TestRetryLadder:
         with pytest.raises(TransientDMAError):
             engine.map(fn, range(4))
         assert max(fn.calls.values()) == 1
+
+
+def _times_ten(item: int) -> int:
+    """Module-level task body, so the process engine can ship it."""
+    return item * 10
+
+
+def _chaos_ladder_engines(max_retries: int) -> List[ExecutionEngine]:
+    """Serial, thread(2) and process(2) engines failing task 2 once.
+
+    ``FlakyFn`` cannot drive the process engine (its call counter would
+    live in the worker), but a chaos decision is a pure function of the
+    task id and attempt, so the same failure reaches every ladder.
+    """
+    policy = TaskPolicy(max_retries=max_retries, backoff_s=0.0)
+    plan = "task_exception@2;seed=1"
+    return [SerialEngine(policy=policy, chaos=resolve_chaos(plan)),
+            ThreadEngine(2, policy=policy, chaos=resolve_chaos(plan)),
+            ProcessEngine(2, policy=policy, chaos=resolve_chaos(plan))]
+
+
+class TestRetryLadderAcrossEngines:
+    def test_one_retry_is_identical_on_every_engine(self) -> None:
+        outcomes = []
+        for engine in _chaos_ladder_engines(max_retries=2):
+            result = engine.map(_times_ten, range(4))
+            events = [(kind, detail)
+                      for kind, detail, _ in engine.drain_events()]
+            outcomes.append((result, events))
+        result, events = outcomes[0]
+        assert result == [0, 10, 20, 30]
+        assert [kind for kind, _ in events] == ["chaos", "task_retry"]
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+    def test_zero_retries_reraise_on_every_engine(self) -> None:
+        for engine in _chaos_ladder_engines(max_retries=0):
+            with pytest.raises(ChaosError):
+                engine.map(_times_ten, range(4))
 
 
 class TestTimeouts:

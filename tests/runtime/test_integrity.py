@@ -14,13 +14,19 @@ smallest corrupted unit so the run finishes **bit-identical** to a
 fault-free serial run; ``off`` is byte-for-byte the pre-integrity path.
 """
 
+from pathlib import Path
+from typing import Any
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kmeans import HierarchicalKMeans
 from repro.core.lloyd import lloyd
+from repro.core.result import KMeansResult
 from repro.errors import ConfigurationError, IntegrityError
+from repro.machine.machine import toy_machine
 from repro.runtime.chaos import parse_chaos_plan, resolve_chaos
 from repro.runtime.engine import (
     SerialEngine,
@@ -41,14 +47,14 @@ from repro.runtime.integrity import (
     verify_partial,
 )
 from repro.runtime.process_engine import ProcessEngine
-from repro.runtime.reduce import BlockPartial, SumCountPartial
+from repro.runtime.reduce import BlockPartial
 from repro.runtime.shm import ArrayRef, SharedArena, as_ndarray
 
 
 def make_partial(i, rows=3, cols=2):
     sums = np.full((rows, cols), float(i + 1))
     counts = np.full(rows, i + 1, dtype=np.int64)
-    return SumCountPartial(sums, counts)
+    return BlockPartial(sums, counts, 0, rows)
 
 
 def combine(a, b):
@@ -183,7 +189,7 @@ class TestSealVerify:
             data.draw(st.lists(st.integers(0, 2 ** 40),
                                min_size=rows, max_size=rows),
                       label="counts"), dtype=np.int64)
-        partial = seal_partial(SumCountPartial(sums, counts))
+        partial = seal_partial(BlockPartial(sums, counts, 0, rows))
         target = data.draw(st.sampled_from(["sums", "counts"]),
                            label="target")
         array = getattr(partial, target)
@@ -346,6 +352,16 @@ def _problem():
     return X, X[:5].copy()
 
 
+def _fit_level(level: int, X: np.ndarray, C0: np.ndarray,
+               **kwargs: Any) -> KMeansResult:
+    """``lloyd`` at Level 0, the facade pinned to ``level`` above it."""
+    if level == 0:
+        return lloyd(X, C0, **kwargs)
+    model = HierarchicalKMeans(C0.shape[0], machine=toy_machine(n_nodes=2),
+                               level=level, init=C0, **kwargs)
+    return model.fit(X)
+
+
 class TestLloydEndToEnd:
     @pytest.mark.parametrize("topology", ["serial", "tree"])
     def test_repair_matches_fault_free_serial(self, topology):
@@ -372,30 +388,37 @@ class TestLloydEndToEnd:
         chaotic = lloyd(X, C0, max_iter=6, engine=engine)
         assert not np.array_equal(chaotic.centroids, clean.centroids)
 
-    def test_corrupted_checkpoint_resume_repairs_to_cold_start(self, tmp_path):
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_corrupted_checkpoint_resume_repairs_to_cold_start(
+            self, tmp_path: Path, level: int) -> None:
         X, C0 = _problem()
         engine = SerialEngine(
             chaos=resolve_chaos("bitflip_checkpoint:p=1;seed=2"),
             integrity="repair")
-        lloyd(X, C0, max_iter=3, engine=engine, checkpoint_every=1,
-              checkpoint_dir=str(tmp_path))
-        resumed = lloyd(X, C0, max_iter=6, checkpoint_dir=str(tmp_path),
-                        resume=True, integrity="repair")
+        _fit_level(level, X, C0, max_iter=3, engine=engine,
+                   checkpoint_every=1, checkpoint_dir=str(tmp_path))
+        resumed = _fit_level(level, X, C0, max_iter=6,
+                             checkpoint_dir=str(tmp_path), resume=True,
+                             integrity="repair")
         kinds = [e.kind for e in resumed.host_events]
         assert "integrity" in kinds  # detected the rotted snapshot
-        clean = lloyd(X, C0, max_iter=6)
+        assert "resume" not in kinds  # a rotted snapshot is not a missing one
+        clean = _fit_level(level, X, C0, max_iter=6)
         np.testing.assert_array_equal(resumed.centroids, clean.centroids)
 
-    def test_corrupted_checkpoint_resume_raises_under_verify(self, tmp_path):
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_corrupted_checkpoint_resume_raises_under_verify(
+            self, tmp_path: Path, level: int) -> None:
         X, C0 = _problem()
         engine = SerialEngine(
             chaos=resolve_chaos("bitflip_checkpoint:p=1;seed=2"),
             integrity="verify")
-        lloyd(X, C0, max_iter=3, engine=engine, checkpoint_every=1,
-              checkpoint_dir=str(tmp_path))
+        _fit_level(level, X, C0, max_iter=3, engine=engine,
+                   checkpoint_every=1, checkpoint_dir=str(tmp_path))
         with pytest.raises(IntegrityError):
-            lloyd(X, C0, max_iter=6, checkpoint_dir=str(tmp_path),
-                  resume=True, integrity="verify")
+            _fit_level(level, X, C0, max_iter=6,
+                       checkpoint_dir=str(tmp_path), resume=True,
+                       integrity="verify")
 
     def test_chaos_replay_is_deterministic(self):
         X, C0 = _problem()

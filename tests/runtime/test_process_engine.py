@@ -77,7 +77,7 @@ class TestMapSemantics:
         with pytest.raises(ValueError, match="boom"):
             engine.map(_boom, range(4))
 
-    def test_lambda_rejected_with_e404_pointer(self):
+    def test_lambda_rejected_with_w604_pointer(self) -> None:
         engine = ProcessEngine(workers=2)
         with pytest.raises(ConfigurationError, match="W604"):
             engine.map(lambda x: x, range(4))

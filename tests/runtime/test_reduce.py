@@ -29,11 +29,9 @@ from repro.runtime.engine import SerialEngine, ThreadEngine
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.reduce import (
     REDUCE_ENV,
+    BlockPartial,
     GroupedTopology,
-    InertiaPartial,
-    LabelPartial,
     SerialTopology,
-    SumCountPartial,
     TreeTopology,
     combine_partials,
     resolve_reduce,
@@ -147,28 +145,13 @@ def test_combine_rejects_mismatched_tuples_and_unknown_types():
 
 
 def test_sum_count_partial_combines_without_mutation():
-    a = SumCountPartial(np.ones((2, 3)), np.array([1, 2]))
-    b = SumCountPartial(np.full((2, 3), 2.0), np.array([3, 4]))
+    a = BlockPartial(np.ones((2, 3)), np.array([1, 2]), 0, 4)
+    b = BlockPartial(np.full((2, 3), 2.0), np.array([3, 4]), 4, 9)
     merged = combine_partials(a, b)
     np.testing.assert_array_equal(merged.sums, np.full((2, 3), 3.0))
     np.testing.assert_array_equal(merged.counts, np.array([4, 6]))
+    assert (merged.lo, merged.hi) == (0, 9)
     np.testing.assert_array_equal(a.sums, np.ones((2, 3)))
-
-
-def test_inertia_partial_mean():
-    merged = InertiaPartial(6.0, 2).combine(InertiaPartial(2.0, 2))
-    assert merged.total == 8.0 and merged.n == 4
-    assert merged.mean == 2.0
-
-
-def test_label_partial_concatenates_adjacent_blocks():
-    a = LabelPartial(0, 2, np.array([1, 0]), np.array([0.5, 0.25]))
-    b = LabelPartial(2, 3, np.array([2]), np.array([1.0]))
-    merged = a.combine(b)
-    assert (merged.lo, merged.hi) == (0, 3)
-    np.testing.assert_array_equal(merged.labels, [1, 0, 2])
-    with pytest.raises(ConfigurationError):
-        b.combine(a)  # blocks don't abut in that order
 
 
 # ---------------------------------------------------------------------------
