@@ -11,14 +11,16 @@ Two ways to run it:
 * ``PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--check]
   [--out BENCH_kernels.json]`` — a standalone comparison sweep: naive vs
   gemm ``assign`` over a (k, d) grid at n = 100,000, an
-  iterations-to-converge sweep of gemm vs the bounds-pruned kernel on the
-  flagship shape (per-iteration pruning rate and speedup), plus full
+  iterations-to-converge sweep of the bounds-pruned kernel against the
+  stateless gemm sweep on the flagship shape (per-iteration pruning rate
+  and speedup, every iteration checked bitwise against naive), plus full
   ledgered vs ``model_costs=False`` fits, written as JSON.  ``--check``
   exits non-zero if gemm is slower than naive on the flagship shape, any
-  backend pair disagrees, the naive kernel's GEMM screen certifies fewer
-  than 99% of the rows on the flagship shape (normal data at n = 100,000
-  in both modes), the pruning rate fails to grow toward convergence, or
-  (full mode) the late-iteration pruned speedup falls below 2x.
+  backend pair disagrees (pruned must be bit-identical to naive), the
+  naive kernel's GEMM screen certifies fewer than 99% of the rows on the
+  flagship shape (normal data at n = 100,000 in both modes), the pruning
+  rate fails to grow toward convergence, or (full mode) the
+  late-iteration pruned speedup over gemm falls below 2x.
 """
 
 import numpy as np
@@ -31,7 +33,7 @@ from repro.core._common import (
     squared_distances_expanded,
     update_centroids,
 )
-from repro.core.bounds import centroid_drift, centroid_separation
+from repro.core.bounds import certified_bounds
 from repro.core.kernels import GemmKernel, NaiveKernel, PrunedKernel
 
 
@@ -158,58 +160,61 @@ def _timed_best(fn, repeats):
 
 
 def _convergence_sweep(n, k, d, iters, repeats):
-    """Iterations-to-converge comparison: gemm vs pruned, one trajectory.
+    """Iterations-to-converge comparison: pruned vs gemm, one trajectory.
 
-    The centroid trajectory is advanced by the gemm sweep (both kernels
-    produce it bit-identically — asserted per iteration); each iteration
-    times the stateless gemm ``assign_accumulate`` against the pruned
+    The centroid trajectory is advanced by the naive sweep, and every
+    iteration checks the pruned kernel's labels, distances, sums and
+    counts bitwise against it.  Each iteration times the stateless gemm
+    ``assign_accumulate`` (and naive's, for reference) against the pruned
     kernel's stateful step from the previous iteration's committed bounds.
     Early iterations prune nothing (bounds are loose while centroids move);
-    the interesting number is the late-iteration speedup once the run
-    settles, which is what the ``--check`` gate asserts.
+    the interesting number is the late-iteration speedup over gemm once
+    the run settles, which is what the ``--check`` gate asserts.
     """
     from repro.data.synthetic import gaussian_blobs
 
     X, _ = gaussian_blobs(n=n, k=k, d=d, seed=11)
     C = np.array(X[:k], copy=True)
-    gemm, pruned = GemmKernel(), PrunedKernel()
+    gemm, naive, pruned = GemmKernel(), NaiveKernel(), PrunedKernel()
     labels = d2 = lb = anchor = None
     rows = []
     for it in range(1, iters + 1):
-        t_gemm, g_out = _timed_best(
+        t_gemm, _ = _timed_best(
             lambda: gemm.assign_accumulate(X, C), repeats)
-        g_labels, g_d2, g_sums, g_counts = g_out
+        t_naive, n_out = _timed_best(
+            lambda: naive.assign_accumulate(X, C), repeats)
+        n_labels, n_d2, n_sums, n_counts = n_out
         if anchor is None:
             t_pruned, p_out = _timed_best(
                 lambda: pruned.establish(X, C), repeats)
         else:
-            drift = centroid_drift(anchor, C)
-            _, s = centroid_separation(C)
+            drift, s = certified_bounds(anchor, C)
             t_pruned, p_out = _timed_best(
                 lambda: pruned.assign_accumulate_pruned(
                     X, C, labels, d2, lb, drift, s), repeats)
         p_labels, p_d2, p_sums, p_counts, p_lb, n_dist = p_out
-        identical = (bool(np.array_equal(g_labels, p_labels))
-                     and bool(np.array_equal(g_d2, p_d2))
-                     and bool(np.array_equal(g_sums, p_sums))
-                     and bool(np.array_equal(g_counts, p_counts)))
+        identical = (bool(np.array_equal(n_labels, p_labels))
+                     and bool(np.array_equal(n_d2, p_d2))
+                     and bool(np.array_equal(n_sums, p_sums))
+                     and bool(np.array_equal(n_counts, p_counts)))
         pruning_rate = 1.0 - n_dist / float(n * k)
         rows.append({
             "iteration": it, "n": n, "k": k, "d": d,
             "gemm_seconds": t_gemm,
+            "naive_seconds": t_naive,
             "pruned_seconds": t_pruned,
             "speedup": t_gemm / t_pruned,
             "distance_evals": int(n_dist),
             "pruning_rate": pruning_rate,
             "identical": identical,
         })
-        print(f"  iter {it:3d}: gemm {t_gemm:8.4f}s  "
+        print(f"  iter {it:3d}: gemm {t_gemm:8.4f}s  naive {t_naive:8.4f}s  "
               f"pruned {t_pruned:8.4f}s  {t_gemm / t_pruned:5.2f}x  "
               f"pruned {pruning_rate:6.1%} of evals  "
               f"{'ok' if identical else 'MISMATCH'}")
         labels, d2, lb = p_labels, p_d2, p_lb
         anchor = np.array(C, copy=True)
-        C = update_centroids(g_sums, g_counts, C)
+        C = update_centroids(n_sums, n_counts, C)
     return rows
 
 
@@ -262,8 +267,9 @@ def main(argv=None):
                         help="smaller n and fewer repetitions (CI mode)")
     parser.add_argument("--check", action="store_true",
                         help="fail if gemm is slower on the flagship shape, "
-                             "any assignments mismatch, or the naive GEMM "
-                             "screen certifies < 99%% of flagship rows")
+                             "any assignments mismatch, pruned differs from "
+                             "naive, or the naive GEMM screen certifies "
+                             "< 99%% of flagship rows")
     parser.add_argument("--out", default="BENCH_kernels.json",
                         help="output JSON path")
     args = parser.parse_args(argv)
@@ -284,7 +290,7 @@ def main(argv=None):
     else:
         conv_shape = dict(n=100_000, k=FLAGSHIP[0], d=FLAGSHIP[1],
                           iters=30, repeats=2)
-    print(f"convergence sweep gemm vs pruned at "
+    print(f"convergence sweep pruned vs gemm (bits vs naive) at "
           f"n={conv_shape['n']} k={conv_shape['k']} d={conv_shape['d']}:")
     convergence_rows = _convergence_sweep(**conv_shape)
     print("ledger sweep:")

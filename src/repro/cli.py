@@ -15,8 +15,8 @@ Commands
     via ``--input data.npy`` / ``--input data.csv`` — and print the result
     summary and time-ledger breakdown.  ``--kernel gemm`` switches the
     assign arithmetic to the blocked GEMM backend (``--kernel pruned``
-    adds carried triangle-inequality bounds, bit-identical to gemm
-    away from floating-point near ties);
+    adds carried triangle-inequality bounds to the default naive kernel,
+    bit-identical to it);
     ``--engine thread``
     (optionally with ``--workers N``) maps the numerics across a host
     thread pool with bit-identical results; ``--no-model-costs`` runs

@@ -51,7 +51,7 @@ from ..runtime.reduce import (
 )
 from ..runtime.shm import ArrayLike, as_ndarray
 from ._common import accumulate, squared_distances
-from .bounds import BlockBounds, centroid_drift, centroid_separation
+from .bounds import BlockBounds, certified_bounds
 from .kernels import (
     KERNELS,
     KernelBackend,
@@ -265,8 +265,7 @@ def map_assign(engine: "ExecutionEngine", kernel: KernelBackend,
         if bounds.valid:
             # The three full-length bound arrays travel like X; the
             # k-sized drift and half-separations ride inline.
-            drift = centroid_drift(bounds.anchor, C)
-            _, s = centroid_separation(C)
+            drift, s = certified_bounds(bounds.anchor, C)
             carried = (engine.share("pruned_labels", bounds.labels),
                        engine.share("pruned_d2", bounds.d2),
                        engine.share("pruned_lb", bounds.lb), drift, s)

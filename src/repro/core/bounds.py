@@ -16,14 +16,17 @@ The drift and separation vectors used to be computed in three nearly
 identical copies across the baselines; this module is now the single
 implementation, and the bound-drifting rules of each algorithm family are
 named helpers so their (deliberately different) semantics stay visible at
-the call sites.
+the call sites.  The baselines use :func:`centroid_drift` and
+:func:`centroid_separation` as computed; the pruned kernel, which must
+keep the naive kernel's bits, takes both vectors from
+:func:`certified_bounds`, which rounds each toward safety.
 
 :class:`BlockBounds` is the persistent state carrier of the pruned kernel
-path: the per-sample labels, exact squared distances, and lower bounds of
-the previous committed iteration, anchored to the exact centroid array
-they were computed against.  The anchor is what makes invalidation
-trivial and checkpoint-resume sound — see ``docs/invariants.md``
-("Bounds invalidation").
+path: the per-sample labels, direct-form squared distances, and lower
+bounds of the previous committed iteration, anchored to the exact
+centroid array they were computed against.  The anchor is what makes
+invalidation trivial and checkpoint-resume sound — see
+``docs/invariants.md`` ("Bounds invalidation").
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._common import chunk_ranges, squared_distances
+from .kernels import _gamma, screen_margin, sqrt_down
 
 __all__ = [
     "BlockBounds",
@@ -41,6 +45,7 @@ __all__ = [
     "apply_yinyang_drift",
     "centroid_drift",
     "centroid_separation",
+    "certified_bounds",
     "group_members_of",
 ]
 
@@ -53,8 +58,9 @@ def centroid_drift(old_C: np.ndarray, new_C: np.ndarray) -> np.ndarray:
     """Per-centroid Euclidean movement ``|new_C[j] - old_C[j]|``.
 
     A centroid whose membership did not change between iterations gets a
-    bit-identical mean and therefore a drift of exactly ``0.0`` — the
-    pruned kernel leans on that to reuse stored exact distances verbatim.
+    bit-identical mean and therefore a drift of exactly ``0.0``; so does
+    a movement whose square underflows (:func:`certified_bounds` counts
+    those).
     """
     return np.sqrt(np.maximum(((new_C - old_C) ** 2).sum(axis=1), 0.0))
 
@@ -80,6 +86,59 @@ def centroid_separation(C: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     cc = np.sqrt(np.maximum(sq, 0.0))
     np.fill_diagonal(cc, np.inf)
     return cc, 0.5 * cc.min(axis=1)
+
+
+def certified_bounds(anchor: np.ndarray, C: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(drift, s)`` for the pruned sweep, both rounded toward safety.
+
+    ``drift[j]`` is an upper bound on the movement ``|C[j] - anchor[j]|``
+    and is > 0 exactly where ``C[j]`` differs from ``anchor[j]``, so a
+    movement whose square underflows still counts as one.  ``s[j]`` is a
+    lower bound on half the distance from ``C[j]`` to its nearest other
+    centroid (0 when k = 1).  With ``u``, ``s_min`` and ``gamma_m`` as in
+    :class:`~repro.core.kernels.NaiveKernel`:
+
+    * *Drift.*  Each ``f_i = fl(C_i - anchor_i)`` is within a factor
+      ``1 - u`` of the exact difference (exact when subnormal); each
+      square rounds by ``u`` relative or ``s_min/2`` absolute, and the
+      sum by ``gamma_{d-1}``.  So the squared movement is at most
+      ``(S + d s_min/2) / (1 - gamma_{d+2})`` for the computed sum of
+      squares ``S``, and ``fl(sqrt(fl(S + d s_min))) (1 + gamma_{d+4})``
+      exceeds its root once the add, the root and the product have
+      rounded.
+    * *Separation.*  Row j of the k x k GEMM ``C C^T`` gives the screen's
+      partial form for ``x = c_j``: ``G_i = |c_i|^2 - 2 c_j.c_i``.  With
+      the diagonal masked, ``min_i G_i + |c_j|^2 - (rel M_j + tiny)``,
+      ``M_j = (|c_j| + max|c|)^2``, is at most every ``|c_i - c_j|^2``:
+      the pruned kernel's runner-up bound for a certified row (see
+      :class:`~repro.core.kernels.PrunedKernel`).  ``s`` halves its root
+      rounded down, then rounds down again, as halving a subnormal can
+      round up.
+    """
+    k, d = C.shape
+    info = np.finfo(C.dtype)
+    u = float(info.eps) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = C - anchor
+        drift = np.sqrt(np.einsum("kd,kd->k", diff, diff)
+                        + d * float(info.smallest_subnormal))
+        drift *= 1.0 + _gamma(d + 4, u)
+    drift[np.all(C == anchor, axis=1)] = 0.0
+    if k <= 1:
+        return drift, np.zeros(1)
+    rel, tiny = screen_margin(d, C.dtype)
+    # Overflowed entries become NaN or inf bounds, which sqrt_down zeroes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq = np.einsum("kd,kd->k", C, C)
+        g = C @ C.T
+        g *= -2.0
+        g += c_sq[None, :]
+        np.fill_diagonal(g, np.inf)
+        m = np.sqrt(c_sq) + np.sqrt(c_sq.max())
+        m *= m
+        lb = sqrt_down(g.min(axis=1) + c_sq - (rel * m + tiny))
+    return drift, np.nextafter(0.5 * lb, 0.0)
 
 
 def apply_hamerly_drift(ub: np.ndarray, lb: np.ndarray, drift: np.ndarray,
@@ -133,18 +192,19 @@ class BlockBounds:
     ``labels``
         the assignment (int64),
     ``d2``
-        the *exact* squared distance to the assigned centroid — computed
-        by the row-independent winner routine, so it is bit-identical to
-        what the unpruned gemm sweep reports for the same label,
+        the direct-form squared distance to the assigned centroid —
+        bit-identical to what the naive sweep reports for the same label,
     ``lb``
-        a lower bound on the distance to the second-closest centroid,
+        a lower bound on the distance to every centroid but the assigned
+        one,
     ``anchor``
         the exact centroid array the three arrays were computed against.
 
     The executors slice the arrays per partition block and ship them with
     the block tasks; per-iteration drift is always measured against
-    ``anchor``, so the state stays sound no matter how the host-side loop
-    got from there to the current centroids.  ``commit`` is called only at
+    ``anchor`` (:func:`certified_bounds`), so the state stays sound no
+    matter how the host-side loop got from there to the current
+    centroids.  ``commit`` is called only at
     the very end of a successful iteration (after every fault-probing
     charge), which makes a retried iteration re-run from unpoisoned
     state; ``invalidate`` is called on every checkpoint restore, replan,

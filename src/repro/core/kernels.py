@@ -24,33 +24,28 @@ Every executor funnels its nearest-centroid arithmetic through a
     dropped from the argmin entirely.
 
 ``pruned``
-    The gemm formulation plus Hamerly-style triangle-inequality bounds
-    carried across iterations (:class:`~repro.core.bounds.BlockBounds`):
-    a point whose exact distance to its assigned centroid is provably
-    below both the half-separation of that centroid and the drifted
-    lower bound to the runner-up skips the k-wide sweep entirely, and
-    only the surviving candidates pay the blocked GEMM.  Bit-identical
-    to ``gemm`` — centroids, labels, and inertia — because every reported
-    distance comes from the same row-independent winner routine and
-    skipped points cannot change assignment in exact arithmetic.  The
-    exception is a near tie that binary floating point cannot represent
-    (decimal coordinates such as ``0.001``): the skip test carries no
-    rounding margin, and gemm's own argmin there depends on the block
-    shape, so the two can pick different winners (ROADMAP item 1).
+    The naive kernel plus Hamerly-style triangle-inequality bounds carried
+    across iterations (:class:`~repro.core.bounds.BlockBounds`): a point
+    whose assigned distance is provably below both the half-separation of
+    its centroid and the drifted lower bound to the runner-up skips the
+    k-wide sweep, and only the surviving candidates run naive's certified
+    screen.  The bounds carry rounding margins, so a skipped point
+    provably keeps naive's label and distance: centroids, labels and
+    inertia are bit-identical to ``naive``, on near ties too.
 
 Backends are selected with ``HierarchicalKMeans(..., kernel="gemm")`` (or
 per-executor via ``Level3Executor(machine, kernel="gemm")``), with the
 ``REPRO_KERNEL`` environment variable as the default when no explicit
 ``kernel=`` is given, and produce identical assignments on non-degenerate
 data; only the floating-point rounding of near-exact ties can differ
-between formulations.
+between gemm and the direct form.
 """
 
 from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -124,9 +119,18 @@ class KernelBackend(ABC):
         (rows, k) distance block.  Backends whose intermediates scale
         differently (the naive form's (rows, k, d) subtraction temporary)
         override this — it is the single place the chunk shape is decided,
-        so the fused and unfused sweeps always agree on boundaries.
+        so the fused and unfused sweeps always agree on boundaries.  It is
+        also ``lloyd``'s shard policy: it fixes the block boundaries, and
+        with them the order in which the sums accumulate.
         """
         return max(1, chunk_elements // max(k, 1))
+
+    def _context(self, X: np.ndarray, C: np.ndarray, chunk_elements: int
+                 ) -> Tuple[int, object]:
+        """Rows per chunk of one argmin sweep over ``X``, and its context."""
+        n = X.shape[0]
+        rows = self.chunk_rows(n, C.shape[0], X.shape[1], chunk_elements)
+        return rows, self._prepare(C, min(rows, n))
 
     # -- public API ---------------------------------------------------------------
 
@@ -134,20 +138,17 @@ class KernelBackend(ABC):
                chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> np.ndarray:
         """Nearest-centroid assignment for every sample (int64 indices)."""
         X, C = validate_data(X, C)
-        n, k = X.shape[0], C.shape[0]
-        rows = self.chunk_rows(n, k, X.shape[1], chunk_elements)
-        ctx = self._prepare(C, min(rows, n))
-        out = np.empty(n, dtype=np.int64)
-        for lo, hi in chunk_ranges(n, rows):
+        rows, ctx = self._context(X, C, chunk_elements)
+        out = np.empty(X.shape[0], dtype=np.int64)
+        for lo, hi in chunk_ranges(X.shape[0], rows):
             out[lo:hi] = self._argmin_block(X[lo:hi], C, ctx)
         return out
 
     def _sweep(self, X: np.ndarray, C: np.ndarray, chunk_elements: int
                ) -> Tuple[np.ndarray, np.ndarray]:
         """One chunked pass: winning index and squared distance per sample."""
-        n, k = X.shape[0], C.shape[0]
-        rows = self.chunk_rows(n, k, X.shape[1], chunk_elements)
-        ctx = self._prepare(C, min(rows, n))
+        n = X.shape[0]
+        rows, ctx = self._context(X, C, chunk_elements)
         idx = np.empty(n, dtype=np.int64)
         best = np.empty(n, dtype=X.dtype)
         for lo, hi in chunk_ranges(n, rows):
@@ -202,6 +203,58 @@ def _gamma(m: int, u: float) -> float:
     return m * u / (1.0 - m * u) if m * u < 1.0 else np.inf
 
 
+def screen_margin(d: int, dtype: np.dtype) -> Tuple[float, float]:
+    """``(rel, tiny)`` of the screen's rounding bound ``tau = rel M + tiny``.
+
+    Derived in :class:`NaiveKernel`; the pruned kernel's bounds and
+    :func:`~repro.core.bounds.certified_bounds` reuse the same margin.
+    """
+    info = np.finfo(dtype)
+    u = float(info.eps) / 2.0
+    # The bound, doubled.
+    rel = 4.0 * (_gamma(d + 1, u) + _gamma(d + 2, u))
+    tiny = 8.0 * (d + 2) * float(info.smallest_subnormal)
+    return rel, tiny
+
+
+def sqrt_down(sq: np.ndarray) -> np.ndarray:
+    """``sqrt(sq)`` rounded down, so never above the exact root.
+
+    A correctly rounded square root lies within half an ulp of the exact
+    one, so the next float toward zero is below it.  NaN, infinite and
+    negative entries give 0, which bounds any distance from below.
+    """
+    sq = np.where(np.isfinite(sq) & (sq > 0.0), sq, 0.0)
+    return np.nextafter(np.sqrt(sq), 0.0)
+
+
+def _row_bound(block: np.ndarray, c_norm: float
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row: ``|x|^2`` and ``M = (|x| + max_j |c_j|)^2``."""
+    x_sq = np.einsum("bd,bd->b", block, block)
+    m = np.sqrt(x_sq) + c_norm
+    m *= m
+    return x_sq, m
+
+
+def _winner_sq(block: np.ndarray, C: np.ndarray,
+               local: np.ndarray) -> np.ndarray:
+    """Direct-form squared distance of each row to its centroid ``local``."""
+    diff = C[local]
+    np.subtract(block, diff, out=diff)
+    return np.einsum("bd,bd->b", diff, diff)
+
+
+class _ScreenContext(NamedTuple):
+    """Per-call state of :class:`NaiveKernel`'s screen."""
+
+    gemm: object        # GemmKernel context: centroid norms, scratch
+    c_norm: float       # max_j |c_j|
+    rel: float          # tau = rel M + tiny
+    tiny: float
+    direct_rows: int    # rows per (rows, k, d) direct-form temporary
+
+
 class NaiveKernel(KernelBackend):
     """Direct-form distances — the fidelity reference — behind a GEMM screen.
 
@@ -245,7 +298,7 @@ class NaiveKernel(KernelBackend):
     numpy reduces each pair's d-vector with the same inner loop whatever
     the outer shape, so it is bit-identical to the ``(b, k)`` direct-form
     entry.  Certification is per row, so labels do not depend on chunk
-    boundaries.
+    boundaries, and the fallback may run in sub-chunks of any size.
     """
 
     name = "naive"
@@ -264,32 +317,76 @@ class NaiveKernel(KernelBackend):
     def _prepare(self, C: np.ndarray, max_rows: int) -> object:
         gemm_ctx = self._gemm._prepare(C, max_rows)
         c_sq, _ = gemm_ctx
-        d = C.shape[1]
-        info = np.finfo(C.dtype)
-        u = float(info.eps) / 2.0
-        # tau = rel * M + tiny: the bound above, doubled.
-        rel = 4.0 * (_gamma(d + 1, u) + _gamma(d + 2, u))
-        tiny = 8.0 * (d + 2) * float(info.smallest_subnormal)
-        return gemm_ctx, np.sqrt(c_sq.max()), rel, tiny
+        rel, tiny = screen_margin(C.shape[1], C.dtype)
+        return _ScreenContext(gemm_ctx, np.sqrt(c_sq.max()), rel, tiny,
+                              max_rows)
 
-    def _screen(self, block: np.ndarray, C: np.ndarray, ctx: object
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Partial-form argmin per row, plus the rows it certifies."""
-        gemm_ctx, c_norm, rel, tiny = ctx
+    def _screen(self, block: np.ndarray, C: np.ndarray,
+                ctx: _ScreenContext) -> Tuple[np.ndarray, np.ndarray,
+                                              np.ndarray, np.ndarray,
+                                              np.ndarray]:
+        """Screen one chunk: ``(winner, certified, runner, |x|^2, M)``.
+
+        ``winner`` is each row's partial-form argmin ``j*``, ``certified``
+        the rows whose ``j*`` the bound proves, and ``runner`` the masked
+        runner-up partial ``G_(2)`` (+inf when k = 1).
+        """
         # Overflowing partials are expected here and sent to the fallback;
         # they must not warn where the direct form itself stays silent.
         with np.errstate(over="ignore", invalid="ignore"):
-            g = self._gemm._partial_block(block, C, gemm_ctx)
+            g = self._gemm._partial_block(block, C, ctx.gemm)
             rows = np.arange(g.shape[0])
             local = np.argmin(g, axis=1)
             best = g[rows, local]
             # The runner-up: mask the winner out of the (spent) scratch.
+            # Gathering at the argmin is the row minimum (NaN included)
+            # and cheaper than min(axis=1).
             g[rows, local] = np.inf
-            gap = g.min(axis=1) - best
-            m = np.sqrt(np.einsum("bd,bd->b", block, block)) + c_norm
-            m *= m
-            ok = np.isfinite(m) & (gap > rel * m + tiny)
-        return local, ok
+            runner = g[rows, np.argmin(g, axis=1)]
+            x_sq, m = _row_bound(block, ctx.c_norm)
+            ok = np.isfinite(m) & (runner - best > ctx.rel * m + ctx.tiny)
+        return local, ok, runner, x_sq, m
+
+    def _direct(self, rows: np.ndarray, C: np.ndarray,
+                ctx: _ScreenContext
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The full direct form: argmin, its ``D`` and the runner-up ``D_(2)``.
+
+        Runs in sub-chunks of the context's ``direct_rows``, which bounds
+        the (rows, k, d) temporary.
+        """
+        b = rows.shape[0]
+        local = np.empty(b, dtype=np.int64)
+        best = np.empty(b, dtype=rows.dtype)
+        runner = np.empty(b, dtype=rows.dtype)
+        for lo, hi in chunk_ranges(b, ctx.direct_rows):
+            d2 = squared_distances(rows[lo:hi], C)
+            i = np.arange(hi - lo)
+            j = np.argmin(d2, axis=1)
+            local[lo:hi] = j
+            best[lo:hi] = d2[i, j]
+            d2[i, j] = np.inf
+            runner[lo:hi] = d2.min(axis=1)
+        return local, best, runner
+
+    def _settle(self, block: np.ndarray, C: np.ndarray,
+                ctx: _ScreenContext
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Label, winner ``D`` and runner-up estimate per row, plus ``M``.
+
+        The runner-up estimate approximates the second-smallest squared
+        distance: ``G_(2) + |x|^2`` where the screen certified, ``D_(2)``
+        where the row ran the direct form.
+        """
+        local, ok, runner, x_sq, m = self._screen(block, C, ctx)
+        best = _winner_sq(block, C, local)
+        with np.errstate(over="ignore", invalid="ignore"):
+            second = runner + x_sq
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            local[rest], best[rest], second[rest] = self._direct(
+                block[rest], C, ctx)
+        return local, best, second, m
 
     def certified(self, X: np.ndarray, C: np.ndarray,
                   chunk_elements: int = DEFAULT_CHUNK_ELEMENTS
@@ -300,32 +397,23 @@ class NaiveKernel(KernelBackend):
         direct form only for the False rows.
         """
         X, C = validate_data(X, C)
-        n, k = X.shape[0], C.shape[0]
-        rows = self.chunk_rows(n, k, X.shape[1], chunk_elements)
-        ctx = self._prepare(C, min(rows, n))
-        out = np.empty(n, dtype=bool)
-        for lo, hi in chunk_ranges(n, rows):
+        rows, ctx = self._context(X, C, chunk_elements)
+        out = np.empty(X.shape[0], dtype=bool)
+        for lo, hi in chunk_ranges(X.shape[0], rows):
             out[lo:hi] = self._screen(X[lo:hi], C, ctx)[1]
         return out
 
     def _argmin_block(self, block: np.ndarray, C: np.ndarray,
                       ctx: object) -> np.ndarray:
-        local, ok = self._screen(block, C, ctx)
+        local, ok = self._screen(block, C, ctx)[:2]
         rest = np.flatnonzero(~ok)
         if rest.size:
-            local[rest] = np.argmin(squared_distances(block[rest], C), axis=1)
+            local[rest] = self._direct(block[rest], C, ctx)[0]
         return local
 
     def _argmin_best_block(self, block: np.ndarray, C: np.ndarray,
                            ctx: object) -> Tuple[np.ndarray, np.ndarray]:
-        local, ok = self._screen(block, C, ctx)
-        diff = block - C[local]
-        best = np.einsum("bd,bd->b", diff, diff)
-        rest = np.flatnonzero(~ok)
-        if rest.size:
-            d2 = squared_distances(block[rest], C)
-            local[rest] = np.argmin(d2, axis=1)
-            best[rest] = d2[np.arange(rest.size), local[rest]]
+        local, best, _, _ = self._settle(block, C, ctx)
         return local, best
 
     def _sq_block(self, block: np.ndarray, C: np.ndarray,
@@ -390,13 +478,12 @@ class GemmKernel(KernelBackend):
 
     def _winner_sq_block(self, block: np.ndarray, C: np.ndarray,
                          local: np.ndarray, ctx: object) -> np.ndarray:
-        """Exact squared distance of each row to its chosen centroid.
+        """Expanded-form squared distance of each row to its centroid.
 
         Deliberately *not* gathered from the GEMM result: a BLAS matmul
         element can depend on the whole chunk's blocking, while this
-        einsum contraction reduces each row independently — so the pruned
-        kernel reproduces the value for any subset of rows (skipped
-        points, surviving candidates) bit-for-bit.
+        einsum contraction reduces each row independently, so a row's
+        value does not depend on the chunk it was swept in.
         """
         c_sq, _ = ctx
         best = c_sq[local] - 2.0 * np.einsum("bd,bd->b", block, C[local])
@@ -408,8 +495,8 @@ class GemmKernel(KernelBackend):
                            ctx: object) -> Tuple[np.ndarray, np.ndarray]:
         # Argmin over the same partial form assign() uses — adding the
         # per-row |x|^2 and clamping first can flip near-exact ties — then
-        # materialise the exact squared distance for the winner only, via
-        # the row-independent routine the pruned kernel shares.
+        # materialise the squared distance for the winner only, via the
+        # row-independent routine.
         g = self._partial_block(block, C, ctx)
         local = np.argmin(g, axis=1)
         return local, self._winner_sq_block(block, C, local, ctx)
@@ -420,61 +507,115 @@ PrunedSweep = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                     np.ndarray, int]
 
 
-class PrunedKernel(GemmKernel):
-    """Gemm formulation plus per-block triangle-inequality pruning.
+class PrunedKernel(NaiveKernel):
+    """Naive's certified screen plus per-block triangle-inequality pruning.
 
     The stateless public API (``assign`` / ``assign_with_distances`` /
-    ``assign_accumulate`` / ``pairwise_sq``) is inherited from
-    :class:`GemmKernel` unchanged — without carried bounds there is
-    nothing to prune.  The two extra entry points implement the stateful
-    sweep the executors drive through
+    ``assign_accumulate`` / ``pairwise_sq``) is naive's — without carried
+    bounds there is nothing to prune.  The two extra entry points
+    implement the stateful sweep the executors drive through
     :class:`~repro.core.bounds.BlockBounds`:
 
     ``establish``
-        A full gemm sweep that additionally derives, per sample, the
-        exact winning squared distance (via the row-independent winner
-        routine) and a lower bound on the runner-up distance from the
-        second-smallest partial.
+        Naive's sweep that also keeps, per sample, a lower bound ``lb`` on
+        the distance to every centroid but its label.
 
     ``assign_accumulate_pruned``
-        The bounded iteration.  Per chunk: refresh the exact assigned
-        distance only where the assigned centroid moved (``drift > 0`` —
-        unmoved centroids are bitwise unchanged, so the stored exact
-        value still holds), drift the lower bound by the worst centroid
-        movement, and run the k-wide GEMM only for candidates whose
-        upper bound fails Hamerly's test ``ub < max(s[a], lb)``.  Skipped
-        points keep their assignment in exact arithmetic, and every
-        reported distance comes from the shared winner routine, so
-        labels, sums, and inertia are bit-identical to the unpruned gemm
-        sweep — except on floating-point near ties, where the margin-free
-        skip test can keep a winner gemm would replace (see the module
-        docstring).
+        The bounded iteration.  Per chunk: refresh the assigned distance
+        where the assigned centroid changed (``drift > 0``; an unchanged
+        centroid is bitwise the same, so the stored direct-form value
+        still holds), drift ``lb`` by the worst centroid movement, and run
+        the screen only for candidates that fail Hamerly's test
+        ``ub < max(s[a], lb)``.
 
     Both return the actual number of point-centroid distance evaluations
     (``n_dist``) so the executors can charge the ledger for work done,
     not work avoided.
+
+    **The bounds.**  With ``u``, ``gamma_m``, ``M``, ``P_j``, ``D_j`` and
+    ``G_j`` as in :class:`NaiveKernel`, ``s_min`` its smallest subnormal
+    ``s`` (here ``s`` is the half-separation vector), let
+    ``eta = rel M + tiny`` be the screen's ``tau`` (:func:`screen_margin`),
+    ``rel = 4 (gamma_{d+1} + gamma_{d+2})`` and
+    ``tiny = 8 (d + 2) s_min``.
+
+    * *Lower bound.*  A row labelled ``a`` has, for every ``j != a``,
+      ``P_j >= E - (gamma_{d+1} + gamma_{d+2}) M - 2 d s_min``: on a certified
+      row ``E = G_(2) + |x|^2`` (``G_j >= G_(2)``, the masked runner-up,
+      plus the partial-form bound and ``gamma_d M + d s_min/2`` for the
+      computed ``|x|^2``); on any other row ``E = D_(2)``, the direct
+      form's runner-up (the direct-form bound).  Both terms of ``E`` are
+      at most about ``M``, so forming ``E`` and subtracting ``eta`` rounds
+      by at most ``5 u M``, and the computed ``M`` is at most about
+      ``gamma_{d+4} M`` low; ``rel`` is four times the relative term the
+      inequality needs, which absorbs both.  So ``lb^2 = fl(E - eta)``
+      is at most every ``P_j``, and ``lb = nextafter(sqrt(lb^2), 0)`` (a
+      correctly rounded root is within half an ulp) is at most every
+      ``|x - c_j|``.  A NaN, infinite or negative ``lb^2`` (overflowed
+      partials) gives ``lb = 0``; k = 1 gives ``+inf``: there is no
+      runner-up.
+    * *Drift.*  A centroid that moved by at most ``drift[j]`` changes any
+      distance to it by at most that much, so ``lb - max(drift)`` stays a
+      lower bound; the difference is rounded toward ``-inf`` once more,
+      so the carried bound stays below over any number of iterations.
+      :func:`~repro.core.bounds.certified_bounds` makes ``drift`` an upper
+      bound on each movement, and ``s`` a lower bound on each centroid's
+      half-distance to its nearest other centroid.
+    * *Upper bound.*  ``ub = fl(sqrt(fl(D_a + eta))) (1 + 4u)``: the
+      factor covers the add, the root and the product, so
+      ``ub^2 >= D_a + eta >= P_a``, as ``eta`` exceeds the direct-form
+      error ``gamma_{d+2} M + d s_min/2``.
+    * *The skip.*  A row is skipped when ``ub < max(s[a], lb)``.  Then
+      every ``j != a`` has ``|x - c_j| > ub``: directly when ``lb > ub``,
+      and by the triangle inequality when ``s[a] > ub``
+      (``|x - c_j| >= 2 s[a] - |x - c_a| > 2 ub - ub``).  So
+      ``P_j > ub^2 >= D_a + eta``, and the direct-form bound gives
+      ``D_j >= P_j - gamma_{d+2} M - d s_min/2 > D_a``: ``a`` is the unique
+      direct-form argmin, naive's label whatever the tie rule, and the
+      stored ``D_a`` is naive's distance.  A NaN anywhere fails the
+      comparison, so the row stays a candidate.
+
+    Candidates run :meth:`NaiveKernel._settle`, so every label and
+    distance is naive's: results are bit-identical to ``naive``.
     """
 
     name = "pruned"
+
+    def _context(self, X: np.ndarray, C: np.ndarray, chunk_elements: int
+                 ) -> Tuple[int, object]:
+        # The screen's largest temporary is the (rows, k) partial block, so
+        # sweeps take gemm-sized chunks; chunk_rows (naive's) stays the
+        # shard policy and bounds the direct-form fallback's sub-chunks.
+        n, k = X.shape[0], C.shape[0]
+        rows = max(1, chunk_elements // max(k, 1))
+        ctx = self._prepare(C, min(rows, n))
+        direct = self.chunk_rows(n, k, X.shape[1], chunk_elements)
+        return rows, ctx._replace(direct_rows=direct)
+
+    def _label_block(self, block: np.ndarray, C: np.ndarray,
+                     ctx: _ScreenContext
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Naive's label and distance per row, plus its runner-up bound."""
+        local, best, second, m = self._settle(block, C, ctx)
+        if C.shape[0] == 1:
+            return local, best, np.full(block.shape[0], np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lb = sqrt_down(second - (ctx.rel * m + ctx.tiny))
+        return local, best, lb
 
     def establish(self, X: np.ndarray, C: np.ndarray,
                   chunk_elements: int = DEFAULT_CHUNK_ELEMENTS
                   ) -> PrunedSweep:
         """Full sweep that also establishes the bound state for a block."""
         X, C = validate_data(X, C)
+        rows, ctx = self._context(X, C, chunk_elements)
         n, k = X.shape[0], C.shape[0]
-        rows = self.chunk_rows(n, k, X.shape[1], chunk_elements)
-        ctx = self._prepare(C, min(rows, n))
         labels = np.empty(n, dtype=np.int64)
         best = np.empty(n, dtype=X.dtype)
         lb = np.empty(n, dtype=np.float64)
         for lo, hi in chunk_ranges(n, rows):
-            block = X[lo:hi]
-            g = self._partial_block(block, C, ctx)
-            local = np.argmin(g, axis=1)
-            labels[lo:hi] = local
-            best[lo:hi] = self._winner_sq_block(block, C, local, ctx)
-            lb[lo:hi] = self._runnerup_lb(block, g, k)
+            labels[lo:hi], best[lo:hi], lb[lo:hi] = self._label_block(
+                X[lo:hi], C, ctx)
         sums, counts = accumulate(X, labels, k)
         return labels, best, sums, counts, lb, n * k
 
@@ -486,65 +627,46 @@ class PrunedKernel(GemmKernel):
                                  ) -> PrunedSweep:
         """One bounded sweep over a block with carried state.
 
-        Pure with respect to its inputs: the carried arrays are read
-        only, fresh outputs are returned — an engine-level task retry
-        re-runs from unpoisoned state.
+        ``drift`` and ``s`` must be certified bounds
+        (:func:`~repro.core.bounds.certified_bounds`).  Pure with respect
+        to its inputs: the carried arrays are read only, fresh outputs are
+        returned — an engine-level task retry re-runs from unpoisoned
+        state.
         """
         X, C = validate_data(X, C)
+        rows, ctx = self._context(X, C, chunk_elements)
         n, k = X.shape[0], C.shape[0]
-        rows = self.chunk_rows(n, k, X.shape[1], chunk_elements)
-        ctx = self._prepare(C, min(rows, n))
         labels = np.array(labels_in, copy=True)
         d2 = np.array(d2_in, copy=True)
-        lb = lb_in - (drift.max() if k > 1 else 0.0)
+        if k > 1:
+            lb = np.nextafter(lb_in - drift.max(), -np.inf)
+        else:
+            lb = np.array(lb_in, copy=True)
+        moved = drift > 0.0
+        grow = 1.0 + 2.0 * float(np.finfo(X.dtype).eps)  # 1 + 4u
+
         n_dist = 0
         for lo, hi in chunk_ranges(n, rows):
             block = X[lo:hi]
             chunk_labels = labels[lo:hi]
             chunk_d2 = d2[lo:hi]
-            # Refresh the exact assigned distance only where the assigned
-            # centroid actually moved; an unmoved centroid is bitwise
-            # unchanged, so the stored exact value is still the exact
-            # current value.  (An exact zero test on the drift vector is
-            # intentional: it detects bitwise-identical centroids, not
-            # numerical closeness.)
-            moved = np.flatnonzero(drift[chunk_labels] > 0.0)
-            if moved.size:
-                chunk_d2[moved] = self._winner_sq_block(
-                    block[moved], C, chunk_labels[moved], ctx)
-                n_dist += int(moved.size)
-            # Hamerly's test on exact upper bounds: strict failure only —
-            # a point tied with its runner-up always stays a candidate,
-            # so tie-breaking matches the unpruned argmin exactly.
-            ub = np.sqrt(chunk_d2)
-            cand = np.flatnonzero(
-                ub >= np.maximum(s[chunk_labels], lb[lo:hi]))
+            stale = np.flatnonzero(moved[chunk_labels])
+            if stale.size:
+                chunk_d2[stale] = _winner_sq(block[stale], C,
+                                             chunk_labels[stale])
+                n_dist += int(stale.size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, m = _row_bound(block, ctx.c_norm)
+                ub = np.sqrt(chunk_d2 + (ctx.rel * m + ctx.tiny))
+                ub *= grow
+                skip = ub < np.maximum(s[chunk_labels], lb[lo:hi])
+            cand = np.flatnonzero(~skip)
             if cand.size:
-                sub = block[cand]
-                g = self._partial_block(sub, C, ctx)
-                local = np.argmin(g, axis=1)
-                chunk_labels[cand] = local
-                chunk_d2[cand] = self._winner_sq_block(sub, C, local, ctx)
-                lb[lo:hi][cand] = self._runnerup_lb(sub, g, k)
+                chunk_labels[cand], chunk_d2[cand], lb[lo:hi][cand] = \
+                    self._label_block(block[cand], C, ctx)
                 n_dist += int(cand.size) * k
         sums, counts = accumulate(X, labels, k)
         return labels, d2, sums, counts, lb, n_dist
-
-    def _runnerup_lb(self, block: np.ndarray, g: np.ndarray,
-                     k: int) -> np.ndarray:
-        """Lower bound on the distance to the second-closest centroid.
-
-        Derived from the second-smallest entry of the partial form ``g``
-        (the same ordering the argmin used) plus the per-row ``|x|^2``.
-        With one centroid there is no runner-up: the bound is +inf and
-        the Hamerly test can never unskip anything.
-        """
-        if k <= 1:
-            return np.full(block.shape[0], np.inf)
-        second = np.partition(g, 1, axis=1)[:, 1]
-        lb_sq = second + np.einsum("bd,bd->b", block, block)
-        np.maximum(lb_sq, 0.0, out=lb_sq)
-        return np.sqrt(lb_sq)
 
 
 #: Anything :func:`resolve_kernel` accepts (None consults ``REPRO_KERNEL``).

@@ -90,11 +90,10 @@ class HierarchicalKMeans:
         Compute backend for the Assign arithmetic: ``"naive"`` (direct-form
         distances, the fidelity reference), ``"gemm"`` (blocked
         ``|x|^2 - 2 X C^T + |c|^2`` — one BLAS matmul per block, the fast
-        production path), or ``"pruned"`` (the gemm formulation plus
+        production path), or ``"pruned"`` (the naive kernel plus
         per-block triangle-inequality bounds carried across iterations —
-        bit-identical to ``"gemm"`` away from floating-point near ties
-        while skipping provably unchanged assignments; bounds are
-        invalidated on resume/replan).  Unset, the
+        bit-identical to ``"naive"`` while skipping provably unchanged
+        assignments; bounds are invalidated on resume/replan).  Unset, the
         ``REPRO_KERNEL`` environment variable is consulted, falling back
         to ``"naive"``.  An environment-sourced non-naive kernel is
         silently pinned back to naive on ``strict_cpe`` fidelity runs.

@@ -1,12 +1,12 @@
-"""``kernel="pruned"``: exact Hamerly-bounded pruning, bit-identical to gemm.
+"""``kernel="pruned"``: exact Hamerly-bounded pruning, bit-identical to naive.
 
 The non-negotiable contract of the pruned backend: centroids, labels,
-inertia, and fault/chaos replays are **bitwise** identical to
-``kernel="gemm"`` — across engines, worker counts, reduce topologies,
-adversarial ties, checkpoint resumes, replans, and rollbacks.  Pruning is
-allowed to change exactly one observable: how many distance evaluations
-the ledger charges for.  Decimal near ties are the known exception
-(ROADMAP item 1), pinned as strict xfails in ``TestDecimalNearTie``.
+inertia, history, and fault/chaos replays are **bitwise** identical to
+``kernel="naive"`` — across engines, worker counts, reduce topologies,
+adversarial and decimal near ties, subnormal and overflowing scales,
+checkpoint resumes, replans, and rollbacks.  Pruning is allowed to change
+exactly one observable: how many distance evaluations the ledger charges
+for.
 """
 
 import os
@@ -15,7 +15,8 @@ import subprocess
 import sys
 import time
 import warnings
-from typing import Optional, Tuple
+from fractions import Fraction
+from typing import Any, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -24,19 +25,36 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import bounds
-from repro.core.bounds import BlockBounds, centroid_drift, centroid_separation
+from repro.core.bounds import (
+    BlockBounds,
+    centroid_separation,
+    certified_bounds,
+)
 from repro.core.checkpoint import CHECKPOINT_FILENAME
-from repro.core.kernels import GemmKernel, PrunedKernel, resolve_kernel
+from repro.core.kernels import (
+    GemmKernel,
+    NaiveKernel,
+    PrunedKernel,
+    resolve_kernel,
+)
 from repro.core.kmeans import HierarchicalKMeans
+from repro.core.level1 import Level1Executor
+from repro.core.level2 import Level2Executor
 from repro.core.level3 import Level3Executor
 from repro.core.lloyd import lloyd
 from repro.core._common import squared_distances, update_centroids
 from repro.data.synthetic import gaussian_blobs, uniform_cloud
-from repro.errors import ConfigurationError, ConvergenceWarning
+from repro.errors import (
+    ConfigurationError,
+    ConvergenceWarning,
+    NumericalFaultError,
+)
 from repro.machine.machine import Machine, toy_machine
 from repro.runtime.chaos import ChaosInjector, ChaosPlan, ChaosSpec
 from repro.runtime.engine import SerialEngine
 from repro.runtime.faults import FaultPlan, FaultSpec
+
+from .test_kernels import _adversarial_case
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +95,13 @@ def _assert_same_final(a, b):
 # ---------------------------------------------------------------------------
 
 class TestKernelPrimitives:
-    def test_winner_sq_block_is_row_independent(self):
-        # The whole bit-identity argument rests on this: evaluating the
-        # winner distance for a subset of rows must give bitwise the same
-        # floats as evaluating it inside the full block.
+    def test_winner_sq_block_is_row_independent(self) -> None:
+        # Gemm's winner distance for a subset of rows must give bitwise
+        # the same floats as evaluating it inside the full block.
         rng = np.random.default_rng(0)
         X = rng.normal(size=(257, 13))
         C = rng.normal(size=(9, 13))
-        kernel = PrunedKernel()
+        kernel = GemmKernel()
         ctx = kernel._prepare(C, X.shape[0])
         local = rng.integers(0, 9, size=257)
         full = kernel._winner_sq_block(X, C, local, ctx)
@@ -92,59 +109,116 @@ class TestKernelPrimitives:
         part = kernel._winner_sq_block(X[subset], C, local[subset], ctx)
         np.testing.assert_array_equal(full[subset], part)
 
-    def test_establish_matches_gemm_sweep(self, workload):
+    def test_establish_matches_naive_sweep(
+            self, workload: Tuple[np.ndarray, np.ndarray]) -> None:
         X, C0 = workload
-        gemm, pruned = GemmKernel(), PrunedKernel()
-        g_labels, g_d2, g_sums, g_counts = gemm.assign_accumulate(X, C0)
+        naive, pruned = NaiveKernel(), PrunedKernel()
+        n_labels, n_d2, n_sums, n_counts = naive.assign_accumulate(X, C0)
         p_labels, p_d2, p_sums, p_counts, lb, n_dist = pruned.establish(X, C0)
-        np.testing.assert_array_equal(g_labels, p_labels)
-        np.testing.assert_array_equal(g_d2, p_d2)
-        np.testing.assert_array_equal(g_sums, p_sums)
-        np.testing.assert_array_equal(g_counts, p_counts)
+        np.testing.assert_array_equal(n_labels, p_labels)
+        np.testing.assert_array_equal(n_d2, p_d2)
+        np.testing.assert_array_equal(n_sums, p_sums)
+        np.testing.assert_array_equal(n_counts, p_counts)
         assert n_dist == X.shape[0] * C0.shape[0]
         assert np.all(lb >= 0.0)
 
-    def test_pruned_iterations_match_gemm_and_prune(
+    def test_pruned_iterations_match_naive_and_prune(
             self, workload: Tuple[np.ndarray, np.ndarray]) -> None:
         # Walk one Lloyd trajectory with both kernels in lock-step; every
         # iteration must agree bitwise, and the evaluation count must fall
         # below the dense n*k once the centroids settle.
         X, C = workload
         n, k = X.shape[0], C.shape[0]
-        gemm, pruned = GemmKernel(), PrunedKernel()
+        naive, pruned = NaiveKernel(), PrunedKernel()
         labels, d2, sums, counts, lb, n_dist = pruned.establish(X, C)
         evals = [n_dist]
         anchor = np.array(C, copy=True)
         C = update_centroids(sums, counts, C)
         for _ in range(12):
-            g_labels, g_d2, g_sums, g_counts = gemm.assign_accumulate(X, C)
-            drift = centroid_drift(anchor, C)
-            _, s = centroid_separation(C)
+            n_labels, n_d2, n_sums, n_counts = naive.assign_accumulate(X, C)
+            drift, s = certified_bounds(anchor, C)
             labels, d2, sums, counts, lb, n_dist = \
                 pruned.assign_accumulate_pruned(X, C, labels, d2, lb,
                                                 drift, s)
-            np.testing.assert_array_equal(g_labels, labels)
-            np.testing.assert_array_equal(g_d2, d2)
-            np.testing.assert_array_equal(g_sums, sums)
-            np.testing.assert_array_equal(g_counts, counts)
+            np.testing.assert_array_equal(n_labels, labels)
+            np.testing.assert_array_equal(n_d2, d2)
+            np.testing.assert_array_equal(n_sums, sums)
+            np.testing.assert_array_equal(n_counts, counts)
             evals.append(n_dist)
             anchor = np.array(C, copy=True)
             C = update_centroids(sums, counts, C)
         assert evals[0] == n * k
         assert evals[-1] < n * k  # bounds actually pruned work
 
-    def test_single_centroid_edge(self):
+    def test_single_centroid_edge(self) -> None:
         X = np.arange(40, dtype=np.float64).reshape(20, 2)
         C = np.array([[3.0, 4.0]])
         pruned = PrunedKernel()
         labels, d2, sums, counts, lb, n_dist = pruned.establish(X, C)
         assert np.all(labels == 0)
         assert np.all(np.isinf(lb))  # no runner-up exists
-        drift = np.zeros(1)
-        _, s = centroid_separation(C)
+        drift, s = certified_bounds(C, C)
         out = pruned.assign_accumulate_pruned(X, C, labels, d2, lb, drift, s)
         np.testing.assert_array_equal(out[0], labels)
         np.testing.assert_array_equal(out[1], d2)
+        assert np.all(np.isinf(out[4]))
+
+    def test_underflowing_move_refreshes_winner_distance(self) -> None:
+        # A one-ulp move at 1e-150 squares to 0, so a drift measured by
+        # its square reads "unmoved" and keeps stale winner distances.
+        X = np.random.default_rng(0).normal(size=(50, 3)) * 1e-150
+        C = np.array(X[:4], copy=True)
+        pruned = PrunedKernel()
+        labels, d2, _, _, lb, _ = pruned.establish(X, C)
+        anchor = np.array(C, copy=True)
+        C[0] = np.nextafter(C[0], np.inf)
+        drift, s = certified_bounds(anchor, C)
+        assert drift[0] > 0.0 and np.all(drift[1:] == 0.0)
+        out = pruned.assign_accumulate_pruned(X, C, labels, d2, lb, drift, s)
+        ref_labels, ref_d2 = NaiveKernel().assign_with_distances(X, C)
+        np.testing.assert_array_equal(out[0], ref_labels)
+        np.testing.assert_array_equal(out[1].view(np.uint64),
+                                      ref_d2.view(np.uint64))
+
+    @given(case=_adversarial_case(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_hold_in_exact_arithmetic(
+            self, case: Tuple[np.ndarray, np.ndarray], seed: int) -> None:
+        # Every certified bound, checked against rational arithmetic:
+        # lb below each non-label distance (established, then carried
+        # across one move), 2 s below each separation, and drift above
+        # each movement.
+        X, C = case
+        X, C = X[:12], C[:6]
+        pruned = PrunedKernel()
+        labels, d2, _, _, lb, _ = pruned.establish(X, C)
+        moved = C + np.random.default_rng(seed).normal(
+            scale=1e-12, size=C.shape) * np.abs(C)
+        drift, s = certified_bounds(C, moved)
+        carried = pruned.assign_accumulate_pruned(X, moved, labels, d2, lb,
+                                                  drift, s)
+
+        def exact_sq(a: np.ndarray, b: np.ndarray) -> Fraction:
+            return sum(((Fraction(p) - Fraction(q)) ** 2
+                        for p, q in zip(a, b)), Fraction(0))
+
+        def below(bound: float, sq: Fraction) -> bool:
+            return bound <= 0.0 or Fraction(bound) ** 2 <= sq
+
+        k = C.shape[0]
+        for i, x in enumerate(X):
+            for j in range(k):
+                if j != labels[i]:
+                    assert below(lb[i], exact_sq(x, C[j]))
+                if j != carried[0][i]:
+                    assert below(carried[4][i], exact_sq(x, moved[j]))
+        for j in range(k):
+            assert Fraction(drift[j]) ** 2 >= exact_sq(moved[j], C[j])
+            assert (drift[j] > 0.0) == bool(np.any(moved[j] != C[j]))
+            for i in range(k):
+                if i != j:
+                    assert (2 * Fraction(s[j])) ** 2 \
+                        <= exact_sq(moved[i], moved[j])
 
     @pytest.mark.parametrize("block_bytes", [None, 1])
     @pytest.mark.parametrize("d", [1, 68])
@@ -178,11 +252,13 @@ class TestLloydParity:
     @pytest.mark.parametrize("engine,workers", [
         ("serial", None), ("thread", 4), ("process", 2),
     ])
-    def test_bit_identical_to_gemm(self, workload, engine, workers):
+    def test_bit_identical_to_naive(
+            self, workload: Tuple[np.ndarray, np.ndarray], engine: str,
+            workers: Optional[int]) -> None:
         X, C0 = workload
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            ref = lloyd(X, C0, max_iter=25, kernel="gemm")
+            ref = lloyd(X, C0, max_iter=25, kernel="naive")
             out = lloyd(X, C0, max_iter=25, kernel="pruned",
                         engine=engine, workers=workers)
         _assert_same_result(ref, out)
@@ -192,7 +268,7 @@ class TestLloydParity:
         monkeypatch.setenv("REPRO_KERNEL", "pruned")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            ref = lloyd(X, C0, max_iter=10, kernel="gemm")
+            ref = lloyd(X, C0, max_iter=10, kernel="naive")
             out = lloyd(X, C0, max_iter=10)  # kernel=None -> env
         _assert_same_result(ref, out)
 
@@ -220,13 +296,14 @@ class TestExecutorParity:
         ("thread", 4, "tree"),
         ("process", 2, "serial"),
     ])
-    def test_bit_identical_to_gemm(self, machine, level, engine, workers,
-                                   reduce):
+    def test_bit_identical_to_naive(self, machine: Machine, level: int,
+                                    engine: str, workers: Optional[int],
+                                    reduce: str) -> None:
         # The reference runs under the *same* engine and reduce topology:
         # the reduce schedule legitimately changes summation order, and
-        # the pruned kernel must be a no-op relative to gemm within any
+        # the pruned kernel must be a no-op relative to naive within any
         # one configuration.
-        ref = _fit(machine, level, "gemm", engine=engine, workers=workers,
+        ref = _fit(machine, level, "naive", engine=engine, workers=workers,
                    reduce=reduce)
         out = _fit(machine, level, "pruned", engine=engine, workers=workers,
                    reduce=reduce)
@@ -236,7 +313,7 @@ class TestExecutorParity:
     def test_ledger_charges_actual_evaluations(self, machine, level):
         # Pruned iterations cost fewer modelled compute seconds once the
         # bounds bite; everything non-compute is charged identically.
-        ref = _fit(machine, level, "gemm")
+        ref = _fit(machine, level, "naive")
         out = _fit(machine, level, "pruned")
         ref_cats = ref.ledger.total_by_category()
         out_cats = out.ledger.total_by_category()
@@ -308,7 +385,7 @@ class TestAdversarialTies:
         C0 = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 40.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            ref = lloyd(X, C0, max_iter=20, kernel="gemm")
+            ref = lloyd(X, C0, max_iter=20, kernel="naive")
             out = lloyd(X, C0, max_iter=20, kernel="pruned")
         _assert_same_result(ref, out)
 
@@ -321,7 +398,7 @@ class TestAdversarialTies:
         C0[3] = C0[0]  # exact duplicate
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            ref = lloyd(X, C0, max_iter=15, kernel="gemm")
+            ref = lloyd(X, C0, max_iter=15, kernel="naive")
             out = lloyd(X, C0, max_iter=15, kernel="pruned")
         _assert_same_result(ref, out)
 
@@ -331,7 +408,7 @@ class TestAdversarialTies:
         model_kwargs = dict(machine=machine, level=1, seed=1, max_iter=20)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            ref = HierarchicalKMeans(6, kernel="gemm", **model_kwargs).fit(X)
+            ref = HierarchicalKMeans(6, kernel="naive", **model_kwargs).fit(X)
             out = HierarchicalKMeans(6, kernel="pruned",
                                      **model_kwargs).fit(X)
         _assert_same_result(ref, out)
@@ -354,12 +431,12 @@ class TestDecimalNearTie:
                            chunk_elements=chunk_elements)
             assert result.assignments.tolist() == NEAR_TIE_LABELS
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: pruned and "
-                       "gemm disagree on decimal near ties")
-    def test_pruned_equals_gemm(self) -> None:
-        ref = lloyd(NEAR_TIE_X, NEAR_TIE_C0, kernel="gemm")
+    def test_pruned_equals_naive(self) -> None:
+        ref = lloyd(NEAR_TIE_X, NEAR_TIE_C0, kernel="naive")
         out = lloyd(NEAR_TIE_X, NEAR_TIE_C0, kernel="pruned")
         _assert_same_result(ref, out)
+        assert out.assignments.tolist() == NEAR_TIE_LABELS
+        assert out.n_iter == 2
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: gemm's labels "
                        "depend on the block shape on decimal near ties")
@@ -374,25 +451,77 @@ class TestDecimalNearTie:
 # Property-based bit-invariance
 # ---------------------------------------------------------------------------
 
+@st.composite
+def _decimal_lattice(draw: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """Samples at ``m 10^-e`` and centroids at ``m 10^-e / 2``: ties in
+    real arithmetic that binary floating point cannot represent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 40))
+    k = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    d = draw(st.sampled_from([1, 2, 3]))
+    X = rng.integers(0, 5, size=(n, d)) / scale
+    C = rng.integers(0, 9, size=(k, d)) / (2.0 * scale)
+    return X, C
+
+
+@st.composite
+def _tiny_cloud(draw: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """Gaussian clouds near 1e-160, where centroid moves square to
+    subnormals or to zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(1, min(n, 8)))
+    d = draw(st.sampled_from([1, 3, 8]))
+    X = rng.normal(size=(n, d)) * 10.0 ** draw(st.floats(-170.0, -150.0))
+    return X, np.array(X[:k], copy=True)
+
+
+_CASES = st.one_of(_adversarial_case(), _decimal_lattice(), _tiny_cloud())
+
+
 class TestHypothesisInvariance:
-    @given(n=st.integers(20, 300), k=st.integers(1, 12),
-           d=st.integers(1, 16), seed=st.integers(0, 2**16),
-           engine_workers=st.sampled_from([("serial", None), ("thread", 2),
-                                           ("thread", 4)]))
-    @settings(max_examples=25, deadline=None)
-    def test_lloyd_pruned_equals_gemm(self, n, k, d, seed, engine_workers):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(n, d))
-        C0 = np.array(X[:k], copy=True)
-        engine, workers = engine_workers
+    @given(case=_CASES, chunk=st.sampled_from([1, 64, None]))
+    @settings(max_examples=200, deadline=None)
+    def test_lloyd_pruned_equals_naive(
+            self, case: Tuple[np.ndarray, np.ndarray],
+            chunk: Optional[int]) -> None:
+        X, C0 = case
+        kwargs = {} if chunk is None else {
+            "chunk_elements": chunk * C0.shape[0] * C0.shape[1]}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            ref = lloyd(X, C0, max_iter=8, kernel="gemm")
-            out = lloyd(X, C0, max_iter=8, kernel="pruned",
-                        engine=engine, workers=workers)
-        np.testing.assert_array_equal(ref.centroids, out.centroids)
-        np.testing.assert_array_equal(ref.assignments, out.assignments)
-        assert ref.inertia == out.inertia
+            ref = lloyd(X, C0, max_iter=8, kernel="naive", **kwargs)
+            out = lloyd(X, C0, max_iter=8, kernel="pruned", **kwargs)
+        _assert_same_result(ref, out)
+
+    @given(case=_CASES, level=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=15, deadline=None)
+    def test_levels_pruned_equal_naive(
+            self, machine: Machine, case: Tuple[np.ndarray, np.ndarray],
+            level: int) -> None:
+        # Distances past the float range fail the executors' inertia
+        # guard; the pruned run must then fail the same way.  Executors
+        # take at most n centroids.
+        X, C0 = case
+        C0 = C0[:X.shape[0]]
+        executor = {1: Level1Executor, 2: Level2Executor,
+                    3: Level3Executor}[level]
+        outcomes = []
+        for kernel in ("naive", "pruned"):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ConvergenceWarning)
+                    outcomes.append(executor(
+                        machine, kernel=kernel, engine="thread", workers=2,
+                        model_costs=False).run(X, C0, max_iter=6))
+            except NumericalFaultError as exc:
+                outcomes.append(str(exc))
+        ref, out = outcomes
+        if isinstance(ref, str):
+            assert out == ref
+        else:
+            _assert_same_result(ref, out)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +533,7 @@ class TestFaultAndChaosParity:
         return _fit(machine, 1, kernel, n=420, k=4, d=6, max_iter=30,
                     **kwargs)
 
-    def test_fault_probe_order_matches_gemm(self, machine):
+    def test_fault_probe_order_matches_naive(self, machine: Machine) -> None:
         # Probabilistic faults draw from the injector RNG once per probed
         # charge, so identical fault_events prove the pruned path charges
         # the identical dma/regcomm/network sequence.
@@ -414,7 +543,8 @@ class TestFaultAndChaosParity:
             FaultSpec("degraded_link", iteration=1, bandwidth_factor=0.5,
                       duration=2),
         ], seed=99)
-        ref = self._fault_fit(machine, "gemm", faults=plan, recovery="retry")
+        ref = self._fault_fit(machine, "naive", faults=plan,
+                              recovery="retry")
         out = self._fault_fit(machine, "pruned", faults=plan,
                               recovery="retry")
         _assert_same_result(ref, out)
@@ -426,7 +556,7 @@ class TestFaultAndChaosParity:
         # that the (quickly converging) run actually reaches it.
         plan = FaultPlan([FaultSpec("cg_failure", iteration=2, cg_index=1)],
                          seed=7)
-        ref = self._fault_fit(machine, "gemm", faults=plan,
+        ref = self._fault_fit(machine, "naive", faults=plan,
                               recovery="replan", checkpoint_every=1)
         out = self._fault_fit(machine, "pruned", faults=plan,
                               recovery="replan", checkpoint_every=1)
@@ -452,7 +582,7 @@ class TestFaultAndChaosParity:
     def test_task_chaos_absorbed_bit_identically(self, machine,
                                                  monkeypatch):
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        ref = self._fault_fit(machine, "gemm")
+        ref = self._fault_fit(machine, "naive")
         monkeypatch.setenv(
             "REPRO_CHAOS",
             "task_exception:p=0.05;slow_task:p=0.05,delay=0.001;seed=3")
@@ -481,8 +611,8 @@ class TestResumeInvalidation:
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_executor_interrupt_and_resume(self, tmp_path, machine, level):
-        gemm_full = _fit(machine, level, "gemm", n=420, k=4, d=6,
-                         max_iter=40)
+        naive_full = _fit(machine, level, "naive", n=420, k=4, d=6,
+                          max_iter=40)
         full = _fit(machine, level, "pruned", n=420, k=4, d=6, max_iter=40)
         _fit(machine, level, "pruned", n=420, k=4, d=6, max_iter=4,
              checkpoint_every=1, checkpoint_dir=str(tmp_path))
@@ -490,7 +620,7 @@ class TestResumeInvalidation:
                        max_iter=40, checkpoint_every=1,
                        checkpoint_dir=str(tmp_path), resume=True)
         _assert_same_final(full, resumed)
-        _assert_same_final(gemm_full, resumed)
+        _assert_same_final(naive_full, resumed)
 
     def test_fresh_bounds_after_manual_invalidate(self):
         bounds = BlockBounds()
