@@ -25,6 +25,9 @@ class MissingAnnotations(Rule):
     summary = ("public functions/methods in the numeric packages must "
                "annotate every parameter and the return type")
     scopes = ("core", "runtime", "machine", "analysis", "errors", "io")
+    #: Scopes match any path component, so ``tests/core`` would count as
+    #: a numeric package without this.
+    exempt = ("tests",)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

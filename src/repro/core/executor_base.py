@@ -108,9 +108,6 @@ class LevelExecutor(ABC):
         charging the modelled I/O to the ``checkpoint`` category.  None
         (default) disables periodic snapshots; the free epoch-0 snapshot of
         the initial centroids is always kept.
-    checkpoint_config:
-        Full :class:`~repro.core.checkpoint.CheckpointConfig` overriding
-        ``checkpoint_every`` (cadence plus I/O bandwidth/latency).
     checkpoint_dir:
         Directory for *durable* snapshots: every checkpoint is also
         persisted to ``checkpoint_dir/checkpoint.npz`` via an atomic
@@ -185,7 +182,6 @@ class LevelExecutor(ABC):
                  faults=None,
                  recovery: RecoveryLike = "fail_fast",
                  checkpoint_every: Optional[int] = None,
-                 checkpoint_config: Optional[CheckpointConfig] = None,
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False,
                  deadline_s: Optional[float] = None,
@@ -242,8 +238,6 @@ class LevelExecutor(ABC):
         self.injector: Optional[FaultInjector] = \
             FaultInjector(plan) if plan else None
         self.recovery = resolve_recovery(recovery)
-        if checkpoint_config is None:
-            checkpoint_config = CheckpointConfig(every=checkpoint_every)
         if resume and checkpoint_dir is None:
             raise ConfigurationError(
                 "resume=True needs checkpoint_dir= (there is no on-disk "
@@ -256,11 +250,10 @@ class LevelExecutor(ABC):
         # bitflip_checkpoint plans reach the durable writes) and the
         # supervisor's event log; built after the supervisor for exactly
         # that reason.
-        self.checkpoints = CheckpointStore(checkpoint_config, self.ledger,
-                                           directory=checkpoint_dir,
-                                           chaos=self.engine.chaos,
-                                           integrity=self.integrity,
-                                           record=self.supervisor.record)
+        self.checkpoints = CheckpointStore(
+            CheckpointConfig(every=checkpoint_every), self.ledger,
+            directory=checkpoint_dir, chaos=self.engine.chaos,
+            integrity=self.integrity, record=self.supervisor.record)
         if empty_action not in EMPTY_ACTIONS:
             raise ConfigurationError(
                 f"empty_action must be one of {EMPTY_ACTIONS}, "

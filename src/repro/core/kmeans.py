@@ -9,7 +9,6 @@ footprint exceeds a core group's memory pay for the full nkd partition.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -178,9 +177,7 @@ class HierarchicalKMeans:
         Extra keyword arguments forwarded to the level executor
         (``collective_algorithm``, ``strict_cpe``, ``streaming``,
         ``overlap_dma``, ``mgroup``, ``mprime_group``,
-        ``supernode_aware``...).  ``bounded=True`` is a deprecated alias
-        of ``kernel="pruned"`` (the Hamerly bounds, carried at every
-        level) kept for Level-3 runs only.
+        ``supernode_aware``...).
 
     Examples
     --------
@@ -237,24 +234,10 @@ class HierarchicalKMeans:
         self.tol = float(tol)
         self.n_init = int(n_init)
         self.seed = seed
-        # ``bounded=True`` survives only as an alias of the pruned kernel;
-        # its Level-3 check waits for fit(), where level="auto" resolves.
-        self._bounded = bool(executor_kwargs.pop("bounded", False))
-        if self._bounded:
-            warnings.warn(
-                'bounded=True is deprecated; use kernel="pruned"',
-                DeprecationWarning, stacklevel=2)
-            if kernel is None:
-                kernel = "pruned"
         # Resolve eagerly: invalid names fail at construction, and the
         # backend instance (with its scratch buffers) is shared by every
         # restart, executor, and predict() call.
         self.kernel = resolve_kernel(kernel)
-        if self._bounded and self.kernel.name != "pruned":
-            raise ConfigurationError(
-                f"bounded=True is an alias of kernel=\"pruned\" and "
-                f"conflicts with kernel={self.kernel.name!r}"
-            )
         if (kernel is None and executor_kwargs.get("strict_cpe")
                 and self.kernel.name != "naive"):
             # Mirror the executor rule: an ambient REPRO_KERNEL default
@@ -380,12 +363,6 @@ class HierarchicalKMeans:
     def _fit_once(self, X: np.ndarray, level: int,
                   C0: np.ndarray) -> KMeansResult:
         """One run at a resolved level from explicit initial centroids."""
-
-        if self._bounded and level != 3:
-            raise ConfigurationError(
-                f"bounded=True requires Level 3 (bounds compose with the "
-                f"nkd partition); the resolved level is {level}"
-            )
         if level == 0:
             return lloyd(X, C0, max_iter=self.max_iter, tol=self.tol,
                          kernel=self.kernel, engine=self.engine,

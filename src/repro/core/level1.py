@@ -38,7 +38,7 @@ class Level1Executor(LevelExecutor):
         super().__init__(machine, **kwargs)
         self._plan = plan
         self._itemsize = 8
-        self._regcomm = RegisterComm(machine.spec.processor.cg, self.ledger,
+        self._regcomm = RegisterComm(machine.spec.processor.cg,
                                      injector=self.injector)
         self._dma = DMAEngine(machine.spec.processor.cg, self.ledger,
                               injector=self.injector)
@@ -68,7 +68,7 @@ class Level1Executor(LevelExecutor):
         self._units_by_cg = dict(by_cg)
 
         active_cgs = sorted(self._units_by_cg)
-        self._comm = SimComm(self.machine, active_cgs, self.ledger,
+        self._comm = SimComm(self.machine, active_cgs,
                              self.collective_algorithm,
                              injector=self.injector)
 

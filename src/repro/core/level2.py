@@ -44,7 +44,7 @@ class Level2Executor(LevelExecutor):
         self._mgroup_request = mgroup
         self._streaming = bool(streaming)
         self._itemsize = 8
-        self._regcomm = RegisterComm(machine.spec.processor.cg, self.ledger,
+        self._regcomm = RegisterComm(machine.spec.processor.cg,
                                      injector=self.injector)
         self._dma = DMAEngine(machine.spec.processor.cg, self.ledger,
                               injector=self.injector)
@@ -76,7 +76,7 @@ class Level2Executor(LevelExecutor):
         self._groups_by_cg = dict(by_cg)
 
         active_cgs = sorted(self._groups_by_cg)
-        self._comm = SimComm(self.machine, active_cgs, self.ledger,
+        self._comm = SimComm(self.machine, active_cgs,
                              self.collective_algorithm,
                              injector=self.injector)
         # Initial scatter of centroid slices to every group member.

@@ -53,7 +53,7 @@ class Level3Executor(LevelExecutor):
         self._supernode_aware = supernode_aware
         self._streaming = bool(streaming)
         self._itemsize = 8
-        self._regcomm = RegisterComm(machine.spec.processor.cg, self.ledger,
+        self._regcomm = RegisterComm(machine.spec.processor.cg,
                                      injector=self.injector)
         self._dma = DMAEngine(machine.spec.processor.cg, self.ledger,
                               injector=self.injector)
@@ -85,15 +85,14 @@ class Level3Executor(LevelExecutor):
         self._itemsize = np.dtype(plan.dtype).itemsize
 
         self._group_comms = [
-            SimComm(self.machine, members, self.ledger,
-                    self.collective_algorithm, injector=self.injector)
+            SimComm(self.machine, members, self.collective_algorithm,
+                    injector=self.injector)
             for members in plan.cg_groups
         ]
         self._member_comms = [
             SimComm(self.machine,
                     [plan.cg_groups[g][j] for g in range(plan.n_groups)],
-                    self.ledger, self.collective_algorithm,
-                    injector=self.injector)
+                    self.collective_algorithm, injector=self.injector)
             for j in range(plan.mprime_group)
         ]
         # Initial distribution of centroid slices to every CG (epoch 0).

@@ -73,7 +73,7 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
         "pruned"; see :mod:`repro.core.kernels`).  None consults
         ``REPRO_KERNEL``.  The pruned backend carries per-sample bounds
         across iterations (invalidated on resume) and is bit-identical
-        to "gemm" away from floating-point near ties.
+        to "naive", near ties included.
     engine:
         Host execution engine ("serial", "thread", or "process"; see
         :mod:`repro.runtime.engine`).  Shards the fused Assign+Accumulate

@@ -1,7 +1,7 @@
 """Simulated parallel runtime: time ledger, DMA, register comm, MPI.
 
-The runtime reproduces the three transports the paper's implementation uses
-and prices them with the machine's published parameters:
+The runtime prices the three transports the paper's implementation uses
+with the machine's published parameters:
 
 * :mod:`repro.runtime.dma` — main-memory <-> LDM staging at 32 GB/s,
 * :mod:`repro.runtime.regcomm` — intra-CG mesh collectives at 46.4 GB/s,
@@ -19,7 +19,6 @@ from .chaos import (
     parse_chaos_plan,
     resolve_chaos,
 )
-from .collectives import barrier, exscan_sum, gatherv, reduce_scatter_sum, scatterv
 from .compute import ComputeModel, DEFAULT_EFFICIENCY, distance_flops, update_flops
 from .dma import DMAEngine
 from .engine import (
@@ -49,7 +48,7 @@ from .ledger import (
     PhaseRecord,
     TimeLedger,
 )
-from .mpi import ALGORITHMS, SimComm, world_comm
+from .mpi import ALGORITHMS, SimComm
 from .regcomm import RegisterComm
 from .supervisor import (
     HostEvent,
@@ -59,11 +58,6 @@ from .supervisor import (
 
 __all__ = [
     "ALGORITHMS",
-    "barrier",
-    "exscan_sum",
-    "gatherv",
-    "reduce_scatter_sum",
-    "scatterv",
     "CATEGORIES",
     "CHAOS_KINDS",
     "ChaosInjector",
@@ -101,5 +95,4 @@ __all__ = [
     "resolve_task_policy",
     "shutdown_pools",
     "update_flops",
-    "world_comm",
 ]

@@ -77,17 +77,17 @@ CI chaos leg runs the whole test suite under injected host faults.
 from __future__ import annotations
 
 import copy
-import json
 import os
 import signal
 import time
-from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from ..analysis.envvars import ENV_CHAOS, read_str
 from ..errors import ChaosError, ConfigurationError
+from .plans import SeededPlan
 
 #: Chaos kinds a :class:`ChaosSpec` may carry.  The worker_* kinds act on
 #: real OS worker processes, so they only fire inside the process engine's
@@ -174,8 +174,7 @@ class ChaosSpec:
             )
 
 
-@dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(SeededPlan):
     """A seeded schedule of host faults, replayable bit-for-bit.
 
     The plan is immutable and stateless: firing decisions are a pure
@@ -183,46 +182,20 @@ class ChaosPlan:
     concurrent engines without shared-stream races.
     """
 
-    specs: Tuple[ChaosSpec, ...] = ()
-    seed: int = 0
-
-    def __init__(self, specs: Sequence[ChaosSpec] = (), seed: int = 0) -> None:
-        object.__setattr__(self, "specs", tuple(specs))
-        object.__setattr__(self, "seed", int(seed))
-        for spec in self.specs:
-            if not isinstance(spec, ChaosSpec):
-                raise ConfigurationError(
-                    f"ChaosPlan specs must be ChaosSpec instances, "
-                    f"got {type(spec).__name__}"
-                )
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "chaos": [asdict(s) for s in self.specs],
-        }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(f"invalid chaos-plan JSON: {e}") from None
-        try:
-            specs = [ChaosSpec(**entry) for entry in data.get("chaos", [])]
-        except TypeError as e:
-            raise ConfigurationError(f"invalid chaos spec: {e}") from None
-        return cls(specs, seed=int(data.get("seed", 0)))
+    spec_type = ChaosSpec
+    json_key = "chaos"
+    noun = "chaos"
+    at_field = "task_id"
+    options = {"p": ("probability", float), "delay": ("delay", float),
+               "kills": ("kills", int)}
 
 
 def parse_chaos_plan(text: str, seed: int = 0) -> ChaosPlan:
     """Parse the compact chaos-plan grammar (or a ``@file`` reference).
 
-    Grammar: semicolon-separated events, each ``kind[@task][:key=val,...]``
-    (mirroring :func:`~repro.runtime.faults.parse_fault_plan`):
+    Grammar (:mod:`repro.runtime.plans`, shared with
+    :func:`~repro.runtime.faults.parse_fault_plan`): semicolon-separated
+    events, each ``kind[@task][:key=val,...]``:
 
     * ``task_exception@7`` — the task with id 7 raises on its first attempt,
     * ``task_exception:p=0.02`` — each task raises with probability 0.02,
@@ -244,86 +217,52 @@ def parse_chaos_plan(text: str, seed: int = 0) -> ChaosPlan:
 
     ``@path.json`` loads a :meth:`ChaosPlan.to_json` file instead.
     """
-    text = text.strip()
-    if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                return ChaosPlan.from_json(fh.read())
-        except OSError as e:
-            raise ConfigurationError(
-                f"cannot read chaos plan {text[1:]!r}: {e}"
-            ) from None
-    key_map = {"p": "probability", "delay": "delay", "kills": "kills"}
-    specs: List[ChaosSpec] = []
-    for event in filter(None, (e.strip() for e in text.split(";"))):
-        if event.startswith("seed="):
-            seed = int(event[len("seed="):])
-            continue
-        head, _, opts = event.partition(":")
-        kind, _, when = head.partition("@")
-        kwargs: dict = {"kind": kind.strip()}
-        if when:
-            try:
-                kwargs["task_id"] = int(when)
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad chaos task id {when!r} in {event!r}"
-                ) from None
-        for pair in filter(None, (p.strip() for p in opts.split(","))):
-            key, eq, value = pair.partition("=")
-            if not eq or key not in key_map:
-                raise ConfigurationError(
-                    f"bad chaos option {pair!r} in {event!r} "
-                    f"(expected p=, delay=, kills=)"
-                )
-            try:
-                kwargs[key_map[key]] = (int(value) if key == "kills"
-                                        else float(value))
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad value {value!r} for {key!r} in {event!r}"
-                ) from None
-        specs.append(ChaosSpec(**kwargs))
-    if not specs:
-        raise ConfigurationError(f"chaos plan {text!r} contains no events")
-    return ChaosPlan(specs, seed=seed)
+    return ChaosPlan.parse(text, seed)
 
 
 ChaosLike = Union["ChaosInjector", ChaosPlan, str, None]
 
 
-def _poison_first_array(result):
-    """Return ``result`` with a NaN written into its first float ndarray.
+def _corrupt_first_array(result, corrupt: Callable[[np.ndarray], None]):
+    """Return ``result`` with ``corrupt`` applied to a copy of its first
+    float ndarray, or ``result`` itself when it carries none.
 
     Engine block tasks return float partials: ``(sums, counts)`` tuples, a
     lone array, or a partial object carrying a ``sums`` array (e.g.
     :class:`repro.runtime.reduce.BlockPartial`).  The corruption copies
-    before writing so a retried task — which recomputes from the pristine
-    inputs — is unaffected.
+    before writing, so a retried task — which recomputes from the pristine
+    inputs — is unaffected; and, crucially for the integrity layer, a
+    copied partial object keeps its now-stale checksum fields, exactly like
+    real in-transit corruption would.
     """
-    def poison(value: object) -> Tuple[object, bool]:
+    def damaged(value: object) -> Optional[np.ndarray]:
         if isinstance(value, np.ndarray) \
                 and np.issubdtype(value.dtype, np.floating) and value.size:
             bad = value.copy()
-            bad.flat[0] = np.nan
-            return bad, True
-        return value, False
+            corrupt(bad)
+            return bad
+        return None
 
     if isinstance(result, tuple):
-        out = []
-        done = False
-        for value in result:
-            if not done:
-                value, done = poison(value)
-            out.append(value)
-        return tuple(out) if done else result
-    sums, done = poison(getattr(result, "sums", None))
-    if done:
-        bad = copy.copy(result)
-        bad.sums = sums
-        return bad
-    poisoned, done = poison(result)
-    return poisoned if done else result
+        for i, value in enumerate(result):
+            bad = damaged(value)
+            if bad is not None:
+                return result[:i] + (bad,) + result[i + 1:]
+        return result
+    bad = damaged(getattr(result, "sums", None))
+    if bad is not None:
+        partial = copy.copy(result)
+        partial.sums = bad
+        return partial
+    bad = damaged(result)
+    return result if bad is None else bad
+
+
+def _poison_first_array(result):
+    """Return ``result`` with a NaN written into its first float ndarray."""
+    def poison(bad: np.ndarray) -> None:
+        bad.flat[0] = np.nan
+    return _corrupt_first_array(result, poison)
 
 
 def _mantissa_offset(rng: np.random.Generator, nbytes: int,
@@ -349,37 +288,11 @@ def _flip_bit_at(buffer: np.ndarray, offset: int, bit: int) -> None:
 
 def _bitflip_first_array(result, rng: np.random.Generator):
     """Return ``result`` with one mantissa bit of its first float array
-    flipped, or ``result`` unchanged when it carries no float array.
-
-    Like :func:`_poison_first_array` the corruption copies before writing
-    (a retried task recomputes from pristine inputs), and — crucially for
-    the integrity layer — a copied partial object keeps its now-stale
-    checksum fields, exactly like real in-transit corruption would.
-    """
-    def flip(value: object) -> Tuple[object, bool]:
-        if isinstance(value, np.ndarray) \
-                and np.issubdtype(value.dtype, np.floating) and value.size:
-            bad = value.copy()
-            offset = _mantissa_offset(rng, bad.nbytes, bad.dtype.itemsize)
-            _flip_bit_at(bad, offset, int(rng.integers(8)))
-            return bad, True
-        return value, False
-
-    if isinstance(result, tuple):
-        out = []
-        done = False
-        for value in result:
-            if not done:
-                value, done = flip(value)
-            out.append(value)
-        return tuple(out) if done else result
-    sums, done = flip(getattr(result, "sums", None))
-    if done:
-        bad = copy.copy(result)
-        bad.sums = sums
-        return bad
-    flipped, done = flip(result)
-    return flipped if done else result
+    flipped, or ``result`` unchanged when it carries no float array."""
+    def flip(bad: np.ndarray) -> None:
+        offset = _mantissa_offset(rng, bad.nbytes, bad.dtype.itemsize)
+        _flip_bit_at(bad, offset, int(rng.integers(8)))
+    return _corrupt_first_array(result, flip)
 
 
 class ChaosInjector:

@@ -24,9 +24,8 @@ convergence loop, so injection starts at iteration 1.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from ..errors import (
     ConfigurationError,
     TransientDMAError,
 )
+from .plans import SeededPlan
 
 #: Fault kinds a :class:`FaultSpec` may carry.
 FAULT_KINDS = ("cg_failure", "transient_dma", "collective_timeout",
@@ -129,8 +129,7 @@ class FaultSpec:
         return iteration < self.iteration + self.duration
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(SeededPlan):
     """A seeded schedule of faults, replayable bit-for-bit.
 
     The plan is immutable; per-run mutable state (which one-shot specs have
@@ -138,47 +137,20 @@ class FaultPlan:
     one plan can drive many independent runs.
     """
 
-    specs: Tuple[FaultSpec, ...] = ()
-    seed: int = 0
-
-    def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0) -> None:
-        object.__setattr__(self, "specs", tuple(specs))
-        object.__setattr__(self, "seed", int(seed))
-        for spec in self.specs:
-            if not isinstance(spec, FaultSpec):
-                raise ConfigurationError(
-                    f"FaultPlan specs must be FaultSpec instances, "
-                    f"got {type(spec).__name__}"
-                )
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "faults": [asdict(s) for s in self.specs],
-        }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(f"invalid fault-plan JSON: {e}") from None
-        try:
-            specs = [FaultSpec(**entry) for entry in data.get("faults", [])]
-        except TypeError as e:
-            raise ConfigurationError(f"invalid fault spec: {e}") from None
-        return cls(specs, seed=int(data.get("seed", 0)))
+    spec_type = FaultSpec
+    json_key = "faults"
+    noun = "fault"
+    at_field = "iteration"
+    options = {"cg": ("cg_index", int), "p": ("probability", float),
+               "factor": ("bandwidth_factor", float),
+               "duration": ("duration", int)}
 
 
 def parse_fault_plan(text: str, seed: int = 0) -> FaultPlan:
     """Parse the CLI's compact fault-plan grammar (or a ``@file`` reference).
 
-    Grammar: semicolon-separated events, each ``kind[@iteration][:key=val,...]``:
+    Grammar (:mod:`repro.runtime.plans`): semicolon-separated events, each
+    ``kind[@iteration][:key=val,...]``:
 
     * ``cg_failure@3:cg=1`` — CG 1 fails permanently at iteration 3,
     * ``transient_dma@2`` — one deterministic DMA error at iteration 2,
@@ -190,53 +162,7 @@ def parse_fault_plan(text: str, seed: int = 0) -> FaultPlan:
     ``@path.json`` loads a :meth:`FaultPlan.to_json` file instead.  ``seed``
     seeds the stochastic draws (the facade passes its own seed through).
     """
-    text = text.strip()
-    if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                return FaultPlan.from_json(fh.read())
-        except OSError as e:
-            raise ConfigurationError(
-                f"cannot read fault plan {text[1:]!r}: {e}"
-            ) from None
-    key_map = {"cg": "cg_index", "p": "probability",
-               "factor": "bandwidth_factor", "duration": "duration",
-               "seed": None}
-    int_keys = {"cg_index", "duration"}
-    specs: List[FaultSpec] = []
-    for event in filter(None, (e.strip() for e in text.split(";"))):
-        if event.startswith("seed="):
-            seed = int(event[len("seed="):])
-            continue
-        head, _, opts = event.partition(":")
-        kind, _, when = head.partition("@")
-        kwargs: dict = {"kind": kind.strip()}
-        if when:
-            try:
-                kwargs["iteration"] = int(when)
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad fault iteration {when!r} in {event!r}"
-                ) from None
-        for pair in filter(None, (p.strip() for p in opts.split(","))):
-            key, eq, value = pair.partition("=")
-            if not eq or key not in key_map or key_map[key] is None:
-                raise ConfigurationError(
-                    f"bad fault option {pair!r} in {event!r} "
-                    f"(expected cg=, p=, factor=, duration=)"
-                )
-            name = key_map[key]
-            try:
-                kwargs[name] = int(value) if name in int_keys \
-                    else float(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad value {value!r} for {key!r} in {event!r}"
-                ) from None
-        specs.append(FaultSpec(**kwargs))
-    if not specs:
-        raise ConfigurationError(f"fault plan {text!r} contains no events")
-    return FaultPlan(specs, seed=seed)
+    return FaultPlan.parse(text, seed)
 
 
 FaultPlanLike = Union[FaultPlan, str]

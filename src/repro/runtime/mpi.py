@@ -1,33 +1,29 @@
-"""Simulated MPI layer over core-group ranks.
+"""Simulated MPI layer over core-group ranks: collective pricing.
 
 The paper runs one MPI process per core group; collectives among CGs on the
 same node go through shared DDR3, while collectives spanning nodes ride the
-fat-tree network (16 GB/s bidirectional peak, derated across supernode
-boundaries).  :class:`SimComm` reproduces that: it is addressed by *global CG
-index*, resolves CG -> node -> supernode through the machine topology, and
-charges each collective with textbook cost formulas:
+fat-tree network (16 GB/s bidirectional peak, derated across supernodes).
+:class:`SimComm` prices that: it is addressed by *global CG index*,
+resolves CG -> node -> supernode through the machine topology, and returns
+each collective's modelled time from textbook cost formulas:
 
 * ring allreduce:            ``2 (p-1)/p * V / bw + 2 (p-1) * lat``
 * binomial-tree reduce/bcast: ``ceil(log2 p) * (lat + V / bw)`` each
 * recursive doubling:         ``ceil(log2 p) * (lat + V / bw)``
 
 where V is the payload volume, bw the worst link bandwidth among the member
-nodes, and lat the matching hop latency.  Like the register-communication
-layer, the collectives also *perform* the arithmetic on NumPy buffers so the
-execute backend's numerics flow through the charged code path (the mpi4py
-idiom of buffer-typed collectives, minus the actual wire).
+nodes, and lat the matching hop latency.  The communicator carries no data:
+the executors merge their partials through the execution engine's
+map/combine/reduce seam and charge the times priced here to their ledger.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from ..errors import CommunicatorError, ConfigurationError
 from ..machine.machine import Machine
-from .ledger import LedgerProtocol
 
 #: Collective algorithm names accepted by SimComm.
 ALGORITHMS = ("ring", "tree", "recursive-doubling")
@@ -46,20 +42,17 @@ class SimComm:
         The machine whose topology prices the traffic.
     cg_indices:
         Global CG indices of the member ranks, in rank order.
-    ledger:
-        Ledger that collective costs are charged to.
     algorithm:
         Default collective algorithm (see :data:`ALGORITHMS`).
     injector:
         Optional :class:`~repro.runtime.faults.FaultInjector`; every
-        collective passes through its hook (which may raise
+        priced collective passes through its hook (which may raise
         :class:`~repro.errors.CollectiveTimeoutError`) and link pricing
         honours its degraded-link bandwidth factor.
     """
 
     def __init__(self, machine: Machine, cg_indices: Sequence[int],
-                 ledger: LedgerProtocol, algorithm: str = "ring",
-                 injector=None) -> None:
+                 algorithm: str = "ring", injector=None) -> None:
         if len(cg_indices) == 0:
             raise CommunicatorError("communicator must have at least one rank")
         if len(set(cg_indices)) != len(cg_indices):
@@ -70,7 +63,6 @@ class SimComm:
                 f"expected one of {ALGORITHMS}"
             )
         self.machine = machine
-        self.ledger = ledger
         self.algorithm = algorithm
         self.injector = injector
         self._cgs: Tuple[int, ...] = tuple(int(i) for i in cg_indices)
@@ -83,27 +75,6 @@ class SimComm:
     @property
     def size(self) -> int:
         return len(self._cgs)
-
-    @property
-    def cg_indices(self) -> Tuple[int, ...]:
-        return self._cgs
-
-    def rank_of_cg(self, cg_index: int) -> int:
-        try:
-            return self._cgs.index(cg_index)
-        except ValueError:
-            raise CommunicatorError(
-                f"CG {cg_index} is not a member of this communicator"
-            ) from None
-
-    def split(self, groups: Sequence[Sequence[int]]) -> List["SimComm"]:
-        """Create one sub-communicator per group of member ranks."""
-        comms = []
-        for group in groups:
-            members = [self._cgs[r] for r in group]
-            comms.append(SimComm(self.machine, members, self.ledger,
-                                 self.algorithm, injector=self.injector))
-        return comms
 
     # -- link pricing ---------------------------------------------------------------
 
@@ -127,7 +98,7 @@ class SimComm:
         return bw, lat
 
     def _inject(self, label: str, nbytes: int) -> None:
-        """Fault hook for every collective (cost query or data-carrying)."""
+        """Fault hook for every priced collective."""
         if self.injector is not None:
             self.injector.on_collective(label, nbytes)
 
@@ -191,71 +162,6 @@ class SimComm:
         steps = math.ceil(math.log2(p))
         return 2.0 * steps * (lat + nbytes / bw)
 
-    # -- data-carrying collectives ----------------------------------------------------
-
-    def allreduce_sum(self, buffers: Sequence[np.ndarray],
-                      label: str = "mpi.allreduce",
-                      algorithm: Optional[str] = None) -> np.ndarray:
-        """Sum one buffer per rank; all ranks receive the total.
-
-        Returns the summed array (callers copy it into per-rank state).
-        """
-        arr = self._validate_buffers(buffers)
-        total = arr.sum(axis=0)
-        self.ledger.charge(
-            "network", label,
-            self.allreduce_time(total.nbytes, algorithm, label=label)
-        )
-        return total
-
-    def allreduce_min_pairs(
-        self, values: Sequence[np.ndarray], payloads: Sequence[np.ndarray],
-        label: str = "mpi.minloc",
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Elementwise MINLOC across ranks.
-
-        ``values[r]`` and ``payloads[r]`` are equal-length vectors on rank
-        ``r``; the result picks, per element, the payload of the smallest
-        value (ties to the lowest rank).  This is how partial per-CG argmins
-        combine into the global assignment a(i).
-        """
-        vals = self._validate_buffers(values)
-        pays = self._validate_buffers(payloads)
-        if vals.shape != pays.shape:
-            raise CommunicatorError(
-                f"values/payloads shape mismatch: {vals.shape} vs {pays.shape}"
-            )
-        winner = np.argmin(vals, axis=0)
-        cols = np.arange(vals.shape[1])
-        best_vals = vals[winner, cols]
-        best_pays = pays[winner, cols]
-        nbytes = int(vals[0].nbytes + pays[0].nbytes)
-        self.ledger.charge("network", label,
-                           self.allreduce_time(nbytes, label=label))
-        return best_vals, best_pays
-
-    def allgather(self, buffers: Sequence[np.ndarray],
-                  label: str = "mpi.allgather") -> np.ndarray:
-        """Concatenate one buffer per rank along axis 0; all ranks get it."""
-        if len(buffers) != self.size:
-            raise CommunicatorError(
-                f"expected {self.size} buffers, got {len(buffers)}"
-            )
-        out = np.concatenate([np.asarray(b) for b in buffers], axis=0)
-        per_rank = max(int(np.asarray(b).nbytes) for b in buffers)
-        self.ledger.charge("network", label,
-                           self.allgather_time(per_rank, label=label))
-        return out
-
-    def bcast(self, buffer: np.ndarray, root: int = 0,
-              label: str = "mpi.bcast") -> np.ndarray:
-        """Broadcast ``buffer`` from ``root`` to all ranks."""
-        self._check_rank(root)
-        buffer = np.asarray(buffer)
-        self.ledger.charge("network", label,
-                           self.bcast_time(buffer.nbytes, label=label))
-        return buffer
-
     # -- helpers ------------------------------------------------------------------------
 
     def _check_rank(self, rank: int) -> None:
@@ -263,25 +169,3 @@ class SimComm:
             raise CommunicatorError(
                 f"rank {rank} out of range [0, {self.size})"
             )
-
-    def _validate_buffers(self, buffers: Sequence[np.ndarray]) -> np.ndarray:
-        if len(buffers) != self.size:
-            raise CommunicatorError(
-                f"expected one buffer per rank ({self.size}), "
-                f"got {len(buffers)}"
-            )
-        arrays = [np.asarray(b) for b in buffers]
-        first = arrays[0]
-        for a in arrays[1:]:
-            if a.shape != first.shape or a.dtype != first.dtype:
-                raise CommunicatorError(
-                    "collective buffers must agree in shape and dtype: "
-                    f"{first.shape}/{first.dtype} vs {a.shape}/{a.dtype}"
-                )
-        return np.stack(arrays, axis=0)
-
-
-def world_comm(machine: Machine, ledger: LedgerProtocol,
-               algorithm: str = "ring") -> SimComm:
-    """A communicator over every CG of the machine, in global CG order."""
-    return SimComm(machine, range(machine.n_cgs), ledger, algorithm)

@@ -719,6 +719,6 @@ def test_every_rule_has_summary_and_name():
 def test_rule_scopes_use_real_path_components(rule):
     known = {"core", "runtime", "machine", "analysis", "errors", "io",
              "repro", "experiments", "benchmarks", "examples", "envvars",
-             "reduce", "checkpoint", "engine"}
+             "reduce", "checkpoint", "engine", "tests"}
     assert set(rule.scopes) <= known
     assert set(rule.exempt) <= known

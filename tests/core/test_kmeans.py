@@ -7,7 +7,7 @@ from repro.core.kmeans import HierarchicalKMeans, select_level
 from repro.core.lloyd import lloyd
 from repro.data.synthetic import gaussian_blobs
 from repro.errors import ConfigurationError, PartitionError
-from repro.machine.machine import Machine, toy_machine
+from repro.machine.machine import toy_machine
 
 
 @pytest.fixture(scope="module")
@@ -207,38 +207,3 @@ class TestMultiRestart:
     def test_invalid_n_init(self):
         with pytest.raises(ConfigurationError):
             HierarchicalKMeans(3, n_init=0)
-
-
-class TestBoundedFacade:
-    def test_bounded_level3_via_kwarg(self, machine, blobs):
-        # bounded=True is a deprecated alias: the same fit as the pruned
-        # kernel, bit for bit, ledger included.
-        X, _ = blobs
-        pruned = HierarchicalKMeans(6, machine=machine, level=3,
-                                    init="first", max_iter=40,
-                                    kernel="pruned").fit(X)
-        with pytest.warns(DeprecationWarning, match="kernel=\"pruned\""):
-            model = HierarchicalKMeans(6, machine=machine, level=3,
-                                       init="first", max_iter=40,
-                                       bounded=True)
-        bounded = model.fit(X)
-        assert model.kernel.name == "pruned"
-        np.testing.assert_array_equal(pruned.centroids, bounded.centroids)
-        np.testing.assert_array_equal(pruned.assignments,
-                                      bounded.assignments)
-        assert pruned.inertia == bounded.inertia  # reprolint: disable=D104 -- the alias must be bit-identical
-        assert pruned.ledger.records == bounded.ledger.records
-
-    def test_bounded_requires_level3(self, machine, blobs):
-        X, _ = blobs
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ConfigurationError, match="Level 3"):
-            HierarchicalKMeans(6, machine=machine, level=1, init="first",
-                               max_iter=5, bounded=True).fit(X)
-
-    def test_bounded_conflicts_with_other_kernel(self, machine: Machine
-                                                 ) -> None:
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ConfigurationError, match="gemm"):
-            HierarchicalKMeans(6, machine=machine, level=3, kernel="gemm",
-                               bounded=True)

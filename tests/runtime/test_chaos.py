@@ -59,23 +59,11 @@ class TestParseChaosPlan:
         assert plan.specs[1] == ChaosSpec("slow_task", probability=0.01,
                                           delay=0.2)
 
-    def test_bad_option_rejected(self):
-        with pytest.raises(ConfigurationError, match="bad chaos option"):
-            parse_chaos_plan("task_exception@1:color=red")
-
-    def test_empty_plan_rejected(self):
-        with pytest.raises(ConfigurationError, match="no events"):
-            parse_chaos_plan(";;")
-
     def test_json_round_trip(self, tmp_path):
         plan = parse_chaos_plan("nan_result@3;seed=9")
         path = tmp_path / "chaos.json"
         path.write_text(plan.to_json())
         assert parse_chaos_plan(f"@{path}") == plan
-
-    def test_missing_file_rejected(self):
-        with pytest.raises(ConfigurationError, match="cannot read"):
-            parse_chaos_plan("@/nonexistent/chaos.json")
 
 
 class TestResolveChaos:

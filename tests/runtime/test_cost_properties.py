@@ -58,7 +58,7 @@ class TestRegcommProperties:
     @given(a=nbytes_st, b=nbytes_st)
     @settings(max_examples=50, deadline=None)
     def test_monotone(self, a, b):
-        comm = RegisterComm(CGSpec(), TimeLedger())
+        comm = RegisterComm(CGSpec())
         lo, hi = min(a, b), max(a, b)
         assert comm.allreduce_time(lo) <= comm.allreduce_time(hi)
 
@@ -67,8 +67,8 @@ class TestRegcommProperties:
     def test_faster_than_network_for_same_volume(self, nbytes, machine):
         """The whole point of register communication (paper section II.A):
         intra-CG reduction beats going through the network."""
-        reg = RegisterComm(machine.spec.processor.cg, TimeLedger())
-        net = SimComm(machine, [0, 2, 4, 6], TimeLedger())
+        reg = RegisterComm(machine.spec.processor.cg)
+        net = SimComm(machine, [0, 2, 4, 6])
         assert reg.allreduce_time(nbytes) < net.allreduce_time(nbytes)
 
 
@@ -77,21 +77,21 @@ class TestSimCommProperties:
            algorithm=st.sampled_from(["ring", "tree", "recursive-doubling"]))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_bytes(self, machine, nbytes, algorithm):
-        comm = SimComm(machine, [0, 2, 4], TimeLedger(), algorithm)
+        comm = SimComm(machine, [0, 2, 4], algorithm)
         assert (comm.allreduce_time(nbytes, algorithm)
                 <= comm.allreduce_time(nbytes + 1024, algorithm))
 
     @given(nbytes=st.integers(1, 10**8))
     @settings(max_examples=30, deadline=None)
     def test_tree_is_twice_recursive_doubling(self, machine, nbytes):
-        comm = SimComm(machine, [0, 2, 4, 6], TimeLedger())
+        comm = SimComm(machine, [0, 2, 4, 6])
         assert comm.allreduce_time(nbytes, "tree") == pytest.approx(
             2.0 * comm.allreduce_time(nbytes, "recursive-doubling"))
 
     @given(nbytes=st.integers(10**6, 10**9))
     @settings(max_examples=30, deadline=None)
     def test_ring_wins_for_large_payloads(self, machine, nbytes):
-        comm = SimComm(machine, list(range(0, 16, 2)), TimeLedger())
+        comm = SimComm(machine, list(range(0, 16, 2)))
         assert (comm.allreduce_time(nbytes, "ring")
                 <= comm.allreduce_time(nbytes, "recursive-doubling"))
 
@@ -99,9 +99,9 @@ class TestSimCommProperties:
     @settings(max_examples=30, deadline=None)
     def test_locality_ordering(self, machine, nbytes):
         """same node <= same supernode <= across supernodes."""
-        onnode = SimComm(machine, [0, 1], TimeLedger())
-        insuper = SimComm(machine, [0, 2], TimeLedger())
-        across = SimComm(machine, [0, 15], TimeLedger())
+        onnode = SimComm(machine, [0, 1])
+        insuper = SimComm(machine, [0, 2])
+        across = SimComm(machine, [0, 15])
         assert (onnode.allreduce_time(nbytes)
                 <= insuper.allreduce_time(nbytes)
                 <= across.allreduce_time(nbytes))

@@ -1,8 +1,5 @@
 """Tests for the fault-injection subsystem (specs, plans, injector)."""
 
-import json
-
-import numpy as np
 import pytest
 
 from repro.errors import (
@@ -10,7 +7,6 @@ from repro.errors import (
     CollectiveTimeoutError,
     ConfigurationError,
     FaultError,
-    ReproError,
     TransientDMAError,
 )
 from repro.machine.machine import toy_machine
@@ -18,7 +14,6 @@ from repro.machine.specs import toy_spec
 from repro.runtime.dma import DMAEngine
 from repro.runtime.faults import (
     FAULT_KINDS,
-    FaultEvent,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -80,10 +75,6 @@ class TestFaultPlan:
         assert not FaultPlan()
         assert FaultPlan([FaultSpec("transient_dma", iteration=1)])
 
-    def test_rejects_non_spec(self):
-        with pytest.raises(ConfigurationError, match="FaultSpec"):
-            FaultPlan(["cg_failure"])
-
     def test_json_roundtrip(self):
         plan = FaultPlan([
             FaultSpec("cg_failure", iteration=3, cg_index=1),
@@ -92,12 +83,6 @@ class TestFaultPlan:
                       duration=2),
         ], seed=42)
         assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_from_json_rejects_garbage(self):
-        with pytest.raises(ConfigurationError, match="JSON"):
-            FaultPlan.from_json("not json")
-        with pytest.raises(ConfigurationError, match="invalid fault spec"):
-            FaultPlan.from_json(json.dumps({"faults": [{"bogus": 1}]}))
 
 
 class TestParseFaultPlan:
@@ -114,28 +99,12 @@ class TestParseFaultPlan:
         assert plan.specs[2].bandwidth_factor == pytest.approx(0.5)
         assert plan.specs[2].duration == 3
 
-    def test_bad_option_rejected(self):
-        with pytest.raises(ConfigurationError, match="bad fault option"):
-            parse_fault_plan("transient_dma:wat=1")
-
-    def test_bad_iteration_rejected(self):
-        with pytest.raises(ConfigurationError, match="bad fault iteration"):
-            parse_fault_plan("cg_failure@soon")
-
-    def test_empty_plan_rejected(self):
-        with pytest.raises(ConfigurationError, match="no events"):
-            parse_fault_plan("  ;  ")
-
     def test_file_reference(self, tmp_path):
         plan = FaultPlan([FaultSpec("collective_timeout", iteration=2)],
                          seed=5)
         path = tmp_path / "plan.json"
         path.write_text(plan.to_json())
         assert parse_fault_plan(f"@{path}") == plan
-
-    def test_missing_file_is_repro_error(self):
-        with pytest.raises(ReproError, match="cannot read"):
-            parse_fault_plan("@/nonexistent/plan.json")
 
     def test_resolve_accepts_plan_string_none(self):
         plan = FaultPlan([FaultSpec("transient_dma", iteration=1)])
@@ -250,40 +219,37 @@ class TestTransportIntegration:
     def test_regcomm_hook(self, cg_spec):
         plan = FaultPlan([FaultSpec("collective_timeout", iteration=1)])
         inj = FaultInjector(plan)
-        comm = RegisterComm(cg_spec, TimeLedger(), injector=inj)
+        comm = RegisterComm(cg_spec, injector=inj)
         inj.begin_iteration(1)
         with pytest.raises(CollectiveTimeoutError):
             comm.allreduce_time(256)
 
-    def test_simcomm_hook_fires_once_per_collective(self):
+    @pytest.mark.parametrize("owner, method, label", [
+        ("SimComm", "allreduce_time", "mpi.allreduce"),
+        ("SimComm", "bcast_time", "mpi.bcast"),
+        ("SimComm", "allgather_time", "mpi.allgather"),
+        ("RegisterComm", "allreduce_time", "regcomm.allreduce"),
+    ])
+    def test_priced_collective_fires_one_fault(self, owner, method, label):
         machine = toy_machine(n_nodes=2)
         plan = FaultPlan([FaultSpec("collective_timeout", probability=1.0)])
         inj = FaultInjector(plan)
-        comm = SimComm(machine, range(machine.n_cgs), TimeLedger(),
-                       injector=inj)
+        comm = (SimComm(machine, range(machine.n_cgs), injector=inj)
+                if owner == "SimComm"
+                else RegisterComm(machine.spec.processor.cg, injector=inj))
         inj.begin_iteration(1)
         with pytest.raises(CollectiveTimeoutError):
-            comm.allreduce_sum([np.ones(4) for _ in range(comm.size)])
-        # One op, one event: the data-carrying wrapper and the cost
-        # function do not double-fire.
-        assert len(inj.events) == 1
-
-    def test_simcomm_split_propagates_injector(self):
-        machine = toy_machine(n_nodes=2)
-        inj = FaultInjector(FaultPlan([FaultSpec("transient_dma",
-                                                 iteration=1)]))
-        comm = SimComm(machine, range(4), TimeLedger(), injector=inj)
-        for sub in comm.split([[0, 1], [2, 3]]):
-            assert sub.injector is inj
+            getattr(comm, method)(4096)
+        assert [(e.kind, e.label) for e in inj.events] == [
+            ("collective_timeout", label)]
 
     def test_degraded_link_slows_collectives(self):
         machine = toy_machine(n_nodes=2)
-        ledger = TimeLedger()
         plan = FaultPlan([FaultSpec("degraded_link", iteration=1,
                                     bandwidth_factor=0.5)])
         inj = FaultInjector(plan)
-        healthy = SimComm(machine, range(4), ledger)
-        faulty = SimComm(machine, range(4), ledger, injector=inj)
+        healthy = SimComm(machine, range(4))
+        faulty = SimComm(machine, range(4), injector=inj)
         t0 = healthy.allreduce_time(1 << 20)
         inj.begin_iteration(1)
         t1 = faulty.allreduce_time(1 << 20)

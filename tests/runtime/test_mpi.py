@@ -1,12 +1,10 @@
-"""Tests for the simulated MPI communicator."""
+"""Tests for the simulated MPI communicator's collective pricing."""
 
-import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError, ConfigurationError
 from repro.machine.machine import toy_machine
-from repro.runtime.ledger import TimeLedger
-from repro.runtime.mpi import SimComm, world_comm
+from repro.runtime.mpi import SimComm
 
 
 @pytest.fixture
@@ -17,46 +15,30 @@ def machine():
 
 @pytest.fixture
 def comm(machine):
-    return world_comm(machine, TimeLedger())
+    return SimComm(machine, range(machine.n_cgs))
 
 
 class TestConstruction:
-    def test_world_covers_all_cgs(self, comm, machine):
-        assert comm.size == machine.n_cgs
-        assert comm.cg_indices == tuple(range(machine.n_cgs))
-
-    def test_rank_of_cg(self, machine):
-        c = SimComm(machine, [3, 7, 11], TimeLedger())
-        assert c.rank_of_cg(7) == 1
-        with pytest.raises(CommunicatorError):
-            c.rank_of_cg(0)
-
     def test_empty_communicator_rejected(self, machine):
         with pytest.raises(CommunicatorError):
-            SimComm(machine, [], TimeLedger())
+            SimComm(machine, [])
 
     def test_duplicate_ranks_rejected(self, machine):
         with pytest.raises(CommunicatorError):
-            SimComm(machine, [1, 1], TimeLedger())
+            SimComm(machine, [1, 1])
 
     def test_out_of_range_cg_rejected(self, machine):
         with pytest.raises(ConfigurationError):
-            SimComm(machine, [99], TimeLedger())
+            SimComm(machine, [99])
 
     def test_unknown_algorithm_rejected(self, machine):
         with pytest.raises(ConfigurationError):
-            SimComm(machine, [0], TimeLedger(), algorithm="butterfly")
-
-    def test_split(self, comm):
-        subs = comm.split([[0, 1], [2, 3]])
-        assert subs[0].size == 2
-        assert subs[0].cg_indices == (0, 1)
-        assert subs[1].cg_indices == (2, 3)
+            SimComm(machine, [0], algorithm="butterfly")
 
 
 class TestCostModel:
     def test_single_rank_collectives_free(self, machine):
-        c = SimComm(machine, [0], TimeLedger())
+        c = SimComm(machine, [0])
         assert c.allreduce_time(10**6) == 0.0
         assert c.bcast_time(10**6) == 0.0
         assert c.allgather_time(10**6) == 0.0
@@ -75,15 +57,13 @@ class TestCostModel:
         assert tree == pytest.approx(2 * rd)
 
     def test_same_node_traffic_uses_memory_transport(self, machine):
-        ledger = TimeLedger()
-        onnode = SimComm(machine, [0, 1], ledger)      # same node
-        offnode = SimComm(machine, [0, 2], ledger)     # adjacent nodes
+        onnode = SimComm(machine, [0, 1])      # same node
+        offnode = SimComm(machine, [0, 2])     # adjacent nodes
         assert onnode.allreduce_time(10**6) < offnode.allreduce_time(10**6)
 
     def test_supernode_crossing_costs_more(self, machine):
-        ledger = TimeLedger()
-        intra = SimComm(machine, [0, 7], ledger)    # nodes 0 and 3
-        inter = SimComm(machine, [0, 15], ledger)   # nodes 0 and 7
+        intra = SimComm(machine, [0, 7])    # nodes 0 and 3
+        inter = SimComm(machine, [0, 15])   # nodes 0 and 7
         assert intra.allreduce_time(10**6) < inter.allreduce_time(10**6)
 
     def test_p2p_cost_orders(self, comm):
@@ -96,48 +76,3 @@ class TestCostModel:
     def test_p2p_bad_rank(self, comm):
         with pytest.raises(CommunicatorError):
             comm.p2p_time(0, 99, 10)
-
-
-class TestDataCollectives:
-    def test_allreduce_sum(self, comm):
-        buffers = [np.full(3, float(r)) for r in range(comm.size)]
-        total = comm.allreduce_sum(buffers)
-        expected = sum(range(comm.size))
-        np.testing.assert_allclose(total, np.full(3, float(expected)))
-        assert comm.ledger.total() > 0
-
-    def test_allreduce_wrong_buffer_count(self, comm):
-        with pytest.raises(CommunicatorError, match="one buffer per rank"):
-            comm.allreduce_sum([np.zeros(3)])
-
-    def test_allreduce_min_pairs_elementwise(self, machine):
-        c = SimComm(machine, [0, 1, 2], TimeLedger())
-        values = [np.array([5.0, 1.0]), np.array([2.0, 9.0]),
-                  np.array([3.0, 0.5])]
-        payloads = [np.array([10, 11]), np.array([20, 21]),
-                    np.array([30, 31])]
-        best_vals, best_pays = c.allreduce_min_pairs(values, payloads)
-        np.testing.assert_allclose(best_vals, [2.0, 0.5])
-        np.testing.assert_array_equal(best_pays, [20, 31])
-
-    def test_minloc_tie_lowest_rank(self, machine):
-        c = SimComm(machine, [0, 1], TimeLedger())
-        vals = [np.array([1.0]), np.array([1.0])]
-        pays = [np.array([7]), np.array([8])]
-        _, best = c.allreduce_min_pairs(vals, pays)
-        assert best[0] == 7
-
-    def test_allgather_concatenates_in_rank_order(self, machine):
-        c = SimComm(machine, [0, 1, 2], TimeLedger())
-        out = c.allgather([np.array([r]) for r in range(3)])
-        np.testing.assert_array_equal(out, [0, 1, 2])
-
-    def test_bcast_validates_root(self, comm):
-        with pytest.raises(CommunicatorError):
-            comm.bcast(np.zeros(2), root=comm.size)
-
-    def test_collectives_charge_network_category(self, comm):
-        comm.allreduce_sum([np.zeros(4) for _ in range(comm.size)])
-        totals = comm.ledger.total_by_category()
-        assert totals["network"] > 0
-        assert totals["dma"] == 0
