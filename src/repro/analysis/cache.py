@@ -39,9 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 __all__ = ["CacheEntry", "LintCache", "default_cache_dir"]
 
 #: Bump when the pickled layout (Finding/FileSummary/_Suppression fields or
-#: the Op/Value IR) changes shape; the version feeds the content hash, so a
-#: bump silently invalidates every stale entry.
-_SCHEMA = 1
+#: the Op/Value IR) changes shape or meaning; the version feeds the content
+#: hash, so a bump silently invalidates every stale entry.  Version 2: path
+#: parts are relative to the project root.
+_SCHEMA = 2
 
 
 def default_cache_dir() -> Optional[Path]:

@@ -118,6 +118,22 @@ class _Suppression:
     used: bool = False
 
 
+def project_parts(path: str) -> Tuple[str, ...]:
+    """The components of ``path`` below its project root, file stem last.
+
+    The root is the nearest ancestor directory holding ``pyproject.toml``;
+    without one the path counts as given.  So the directories a checkout
+    sits in never decide which rules reach a file.
+    """
+    posix = PurePosixPath(str(path).replace("\\", "/"))
+    absolute = Path(path).absolute()
+    for root in absolute.parents:
+        if (root / "pyproject.toml").is_file():
+            posix = PurePosixPath(absolute.relative_to(root).as_posix())
+            break
+    return tuple(posix.parts[:-1]) + (posix.stem,)
+
+
 @dataclass
 class LintContext:
     """Everything a rule may inspect about one file."""
@@ -131,10 +147,8 @@ class LintContext:
     @classmethod
     def from_source(cls, source: str, path: str) -> "LintContext":
         tree = ast.parse(source, filename=path)
-        posix = PurePosixPath(str(path).replace("\\", "/"))
-        parts = tuple(posix.parts[:-1]) + (posix.stem,)
         return cls(path=path, source=source, tree=tree,
-                   lines=source.splitlines(), parts=parts)
+                   lines=source.splitlines(), parts=project_parts(path))
 
     def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         return Finding(rule=rule.id, path=self.path,
@@ -164,12 +178,16 @@ class Rule:
     #: Path components the rule never applies to, checked before scopes.
     exempt: Tuple[str, ...] = ()
 
-    def applies(self, ctx: LintContext) -> bool:
-        if any(part in self.exempt for part in ctx.parts):
+    def scope_ok(self, parts: Tuple[str, ...]) -> bool:
+        """Does a file with these path parts fall under this rule?"""
+        if any(part in self.exempt for part in parts):
             return False
         if not self.scopes:
             return True
-        return any(scope in ctx.parts for scope in self.scopes)
+        return any(scope in parts for scope in self.scopes)
+
+    def applies(self, ctx: LintContext) -> bool:
+        return self.scope_ok(ctx.parts)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -190,14 +208,6 @@ class ProjectRule(Rule):
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         return iter(())
-
-    def scope_ok(self, parts: Tuple[str, ...]) -> bool:
-        """Does a file with these path parts fall under this rule?"""
-        if any(part in self.exempt for part in parts):
-            return False
-        if not self.scopes:
-            return True
-        return any(scope in parts for scope in self.scopes)
 
     def check_project(self, project: "Project") -> Iterator[Finding]:
         raise NotImplementedError

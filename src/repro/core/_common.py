@@ -175,6 +175,15 @@ def accumulate(X: np.ndarray, assignments: np.ndarray, k: int
     return sums, counts
 
 
+def check_empty_action(empty_action: str) -> None:
+    """``empty_action`` must name one of :data:`EMPTY_ACTIONS`."""
+    if empty_action not in EMPTY_ACTIONS:
+        raise ConfigurationError(
+            f"empty_action must be one of {EMPTY_ACTIONS}, "
+            f"got {empty_action!r}"
+        )
+
+
 def update_centroids(sums: np.ndarray, counts: np.ndarray,
                      previous: np.ndarray, empty_action: str = "keep",
                      X: np.ndarray = None,
@@ -195,11 +204,7 @@ def update_centroids(sums: np.ndarray, counts: np.ndarray,
     happens *only* when an empty cluster actually occurs, so the common path
     pays nothing.
     """
-    if empty_action not in EMPTY_ACTIONS:
-        raise ConfigurationError(
-            f"empty_action must be one of {EMPTY_ACTIONS}, "
-            f"got {empty_action!r}"
-        )
+    check_empty_action(empty_action)
     counts = np.asarray(counts)
     new = np.array(previous, dtype=np.float64, copy=True)
     nonempty = counts > 0

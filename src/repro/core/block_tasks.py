@@ -22,8 +22,8 @@ small picklable task records plus module-level functions over them:
   instead.
 
 :func:`map_assign` is the one place a Lloyd iteration reaches the engine:
-``lloyd`` and the Level 1–3 executors all fan their Assign step out
-through it.  Reprolint rule W604 enforces the discipline statically:
+every level's executor, Level 0 (``lloyd``) included, fans its Assign step
+out through it.  Reprolint rule W604 enforces the discipline statically:
 callables reaching ``engine.map``/``map_reduce`` must be module-level,
 like the ``*_block`` functions here.
 """
@@ -106,11 +106,12 @@ def _kernel(token: KernelLike) -> KernelBackend:
 
 
 class FusedAssignTask:
-    """One block of the fused Assign+Accumulate sweep (lloyd / L1 / L2 / L3).
+    """One block of the fused Assign+Accumulate sweep (Levels 0–3).
 
     ``chunk_elements=None`` uses the kernel's default chunk policy — the
-    executors' path, where the block *is* one planned unit of work;
-    :func:`~repro.core.lloyd.lloyd` passes its explicit bound through.
+    Level 1–3 path, where the block *is* one planned unit of work; the
+    Level-0 :class:`~repro.core.lloyd.LloydExecutor` passes ``lloyd``'s
+    explicit bound through.
     """
 
     __slots__ = ("x", "c", "lo", "hi", "kernel", "chunk_elements")
@@ -224,8 +225,8 @@ def map_assign(engine: "ExecutionEngine", kernel: KernelBackend,
                ) -> Tuple[Any, List[Any], np.ndarray, np.ndarray]:
     """One Assign+Accumulate sweep over ``blocks``, fanned out on ``engine``.
 
-    The only engine call of a Lloyd iteration: ``lloyd`` passes its
-    kernel's chunk ranges, the executors their plan's sample blocks and
+    The only engine call of a Lloyd iteration: Level 0 (``lloyd``) passes
+    its kernel's chunk ranges, Levels 1–3 their plan's sample blocks and
     reduction topology.  Shares ``X`` and ``C``, builds one task per
     block — pruned when ``bounds`` is given, strict-CPE when ``strict``
     is, fused otherwise — merges the partials under ``topology``, and

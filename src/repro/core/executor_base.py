@@ -1,18 +1,22 @@
-"""Shared iteration driver for the simulated Level 1/2/3 executors.
+"""The one iteration driver for Levels 0–3.
 
-Each executor implements one Lloyd iteration under its partition plan —
-performing the real arithmetic with NumPy *and* charging the modelled cost
-of every phase (DMA, compute, register comm, MPI) to a
-:class:`~repro.runtime.ledger.TimeLedger`.  The base class owns everything
-that is identical across levels: the convergence loop, telemetry, result
-assembly, and the paper's stop rule ("until each c_j is fixed", tol = 0).
+A level supplies :meth:`~LevelExecutor.setup` and
+:meth:`~LevelExecutor.iterate`: Level 0 (:mod:`repro.core.lloyd`) sweeps
+the kernel's own chunks on the host, and Levels 1–3 run one Lloyd
+iteration under their partition plan, performing the real arithmetic with
+NumPy *and* charging the modelled cost of every phase (DMA, compute,
+register comm, MPI) to a :class:`~repro.runtime.ledger.TimeLedger`.  The
+base class owns everything else: option checks, the convergence loop,
+checkpoints and resume, fault recovery, telemetry, result assembly, and
+the paper's stop rule ("until each c_j is fixed", tol = 0).
 """
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from abc import ABC, abstractmethod
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +28,9 @@ from ..errors import (
 )
 from ..machine.machine import DegradedMachine, Machine
 from ..runtime.compute import ComputeModel
+from ..runtime.dma import DMAEngine
 from ..runtime.engine import EngineLike, resolve_engine
-from ..runtime.faults import FaultInjector, resolve_fault_plan
+from ..runtime.faults import FaultInjector, FaultPlan, resolve_fault_plan
 from ..runtime.reduce import (
     ReduceLike,
     ReduceTopology,
@@ -33,10 +38,15 @@ from ..runtime.reduce import (
     scatter_bounds,
 )
 from ..runtime.ledger import NullLedger, TimeLedger
-from ..runtime.supervisor import SupervisorLike, resolve_supervisor
+from ..runtime.regcomm import RegisterComm
+from ..runtime.supervisor import (
+    SupervisorLike,
+    check_budgets,
+    resolve_supervisor,
+)
 from ._common import (
     DEFAULT_CHUNK_ELEMENTS,
-    EMPTY_ACTIONS,
+    check_empty_action,
     inertia,
     max_centroid_shift,
     update_centroids,
@@ -45,7 +55,7 @@ from ._common import (
 from .block_tasks import StrictAssign, map_assign
 from .bounds import BlockBounds
 from .checkpoint import CheckpointConfig, CheckpointStore
-from .kernels import KernelLike, resolve_kernel
+from .kernels import KernelBackend, KernelLike, resolve_kernel
 from .recovery import RecoveryLike, resolve_recovery
 from .result import IterationStats, KMeansResult
 
@@ -56,14 +66,77 @@ from .result import IterationStats, KMeansResult
 #: block would be new memory in it (32 MB at k=256).
 RELABEL_CHUNK_ELEMENTS = DEFAULT_CHUNK_ELEMENTS // 8
 
+#: Constructor keywords that configure the simulated machine.  Level 0
+#: simulates none and takes none of them.
+MACHINE_KEYWORDS = frozenset({"plan", "collective_algorithm", "strict_cpe",
+                              "overlap_dma", "compute_efficiency"})
+
+
+def check_run_options(simulated: bool, model_costs: bool,
+                      faults: Optional[FaultPlan], resume: bool,
+                      checkpoint_dir: Optional[str], empty_action: str,
+                      deadline_s: Optional[float],
+                      watchdog_s: Optional[float]) -> None:
+    """The cross-option rules of a run, checked before it is built.
+
+    Every executor and :class:`~repro.core.kmeans.HierarchicalKMeans` call
+    this at construction, so a bad combination fails there, with one
+    message wherever it is given.  ``simulated`` is False at Level 0.
+    """
+    if faults:
+        if not model_costs:
+            raise ConfigurationError(
+                "fault injection requires model_costs=True: the fault "
+                "hooks fire from the cost-charging paths that "
+                "model_costs=False skips entirely"
+            )
+        if not simulated:
+            raise ConfigurationError(
+                "faults= requires a simulated level (1-3); the serial "
+                "Lloyd baseline (level=0) has no machine to fail"
+            )
+    if resume and checkpoint_dir is None:
+        raise ConfigurationError(
+            "resume=True needs checkpoint_dir= (there is no on-disk "
+            "snapshot to resume from otherwise)"
+        )
+    check_empty_action(empty_action)
+    check_budgets(deadline_s, watchdog_s)
+
+
+def resolve_run_kernel(kernel: Optional[KernelLike],
+                       strict_cpe: bool) -> KernelBackend:
+    """Resolve a run's kernel; strict-CPE fidelity needs the naive one.
+
+    Its per-slice dataflow *is* the direct-form arithmetic.  An explicit
+    non-naive kernel raises, while an environment-sourced one (``kernel``
+    None) is pinned back to naive: the knob is a machine-wide default,
+    not a per-run demand.
+    """
+    backend = resolve_kernel(kernel)
+    if strict_cpe and backend.name != "naive":
+        if kernel is None:
+            return resolve_kernel("naive")
+        raise ConfigurationError(
+            f"strict_cpe fidelity mode requires the naive kernel "
+            f"(the hardware dataflow is the direct form); "
+            f"got kernel={backend.name!r}"
+        )
+    return backend
+
 
 class LevelExecutor(ABC):
-    """Template for a partition-level k-means executor.
+    """Template for a k-means executor of one partition level.
 
     Parameters
     ----------
     machine:
-        The simulated machine the plan was made for.
+        The simulated machine the plan is made for, or None: then nothing
+        is priced (no compute, DMA or register-communication model, no
+        plan, and no time ledger), as at Level 0.
+    plan:
+        A ready partition plan; None (the default) makes one in
+        :meth:`setup`.
     collective_algorithm:
         Algorithm used by inter-CG collectives ("ring", "tree",
         "recursive-doubling").
@@ -95,8 +168,9 @@ class LevelExecutor(ABC):
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan` (or compact spec
         string, see :func:`~repro.runtime.faults.parse_fault_plan`) to
-        inject during the run.  Requires ``model_costs=True`` — the fault
-        hooks live on the cost-charging paths.  None (the default) attaches
+        inject during the run.  Requires a machine and
+        ``model_costs=True`` — the fault hooks live on the cost-charging
+        paths.  None (the default) attaches
         no injector: the run is bit-identical, in centroids and modelled
         seconds, to one without fault support.
     recovery:
@@ -171,10 +245,13 @@ class LevelExecutor(ABC):
         bitflip chaos finish bit-identical to fault-free ones.
     """
 
-    #: Partition level implemented by the subclass (1, 2 or 3).
+    #: Partition level implemented by the subclass (0, 1, 2 or 3).
     level: int = 0
+    #: Working-set bound (elements) of the final host-side re-label.
+    relabel_chunk_elements: int = RELABEL_CHUNK_ELEMENTS
 
-    def __init__(self, machine: Machine, collective_algorithm: str = "ring",
+    def __init__(self, machine: Optional[Machine], plan: Any = None,
+                 collective_algorithm: str = "ring",
                  strict_cpe: bool = False, overlap_dma: bool = False,
                  compute_efficiency: float | None = None,
                  kernel: Optional[KernelLike] = None,
@@ -192,7 +269,12 @@ class LevelExecutor(ABC):
                  workers: Optional[int] = None,
                  reduce: ReduceLike = None,
                  integrity: Optional[str] = None) -> None:
+        fault_plan = resolve_fault_plan(faults)
+        check_run_options(machine is not None, model_costs, fault_plan,
+                          resume, checkpoint_dir, empty_action, deadline_s,
+                          watchdog_s)
         self.machine = machine
+        self._plan = plan
         self.collective_algorithm = collective_algorithm
         self.strict_cpe = bool(strict_cpe)
         self.overlap_dma = bool(overlap_dma)
@@ -205,20 +287,7 @@ class LevelExecutor(ABC):
         #: Per-iteration inertia under the incoming centroids, set by every
         #: iterate() from the winning distances its sweep already produced.
         self._iter_inertia = float("nan")
-        env_default = kernel is None
-        self.kernel = resolve_kernel(kernel)
-        if self.strict_cpe and self.kernel.name != "naive":
-            if env_default:
-                # The environment knob is a machine-wide default; a
-                # fidelity run pins the backend its dataflow *is* rather
-                # than erroring on an ambient REPRO_KERNEL.
-                self.kernel = resolve_kernel("naive")
-            else:
-                raise ConfigurationError(
-                    f"strict_cpe fidelity mode requires the naive kernel "
-                    f"(the hardware dataflow is the direct form); "
-                    f"got kernel={self.kernel.name!r}"
-                )
+        self.kernel = resolve_run_kernel(kernel, self.strict_cpe)
         #: Carried per-sample bound state of the pruned kernel path (always
         #: constructed; permanently invalid under the other backends).
         self._pruned_bounds = BlockBounds()
@@ -226,23 +295,11 @@ class LevelExecutor(ABC):
         #: (n*k on establishment sweeps; the pruning telemetry the bench
         #: harness reads).
         self.pruned_evals_per_iteration: List[int] = []
-        self.model_costs = bool(model_costs)
+        self.model_costs = bool(model_costs) and machine is not None
         self.ledger = TimeLedger() if self.model_costs else NullLedger()
-        plan = resolve_fault_plan(faults)
-        if plan and not self.model_costs:
-            raise ConfigurationError(
-                "fault injection requires model_costs=True: the fault "
-                "hooks fire from the cost-charging paths that "
-                "model_costs=False skips entirely"
-            )
         self.injector: Optional[FaultInjector] = \
-            FaultInjector(plan) if plan else None
+            FaultInjector(fault_plan) if fault_plan else None
         self.recovery = resolve_recovery(recovery)
-        if resume and checkpoint_dir is None:
-            raise ConfigurationError(
-                "resume=True needs checkpoint_dir= (there is no on-disk "
-                "snapshot to resume from otherwise)"
-            )
         self.resume = bool(resume)
         self.supervisor = resolve_supervisor(supervisor, deadline_s,
                                              watchdog_s)
@@ -254,17 +311,45 @@ class LevelExecutor(ABC):
             CheckpointConfig(every=checkpoint_every), self.ledger,
             directory=checkpoint_dir, chaos=self.engine.chaos,
             integrity=self.integrity, record=self.supervisor.record)
-        if empty_action not in EMPTY_ACTIONS:
-            raise ConfigurationError(
-                f"empty_action must be one of {EMPTY_ACTIONS}, "
-                f"got {empty_action!r}"
-            )
         self.empty_action = empty_action
-        kwargs = {}
-        if compute_efficiency is not None:
-            kwargs["efficiency"] = compute_efficiency
-        self.compute = ComputeModel(machine.spec.processor.cg, self.ledger,
-                                    **kwargs)
+        if machine is not None:
+            cg = machine.spec.processor.cg
+            kwargs = {}
+            if compute_efficiency is not None:
+                kwargs["efficiency"] = compute_efficiency
+            self.compute = ComputeModel(cg, self.ledger, **kwargs)
+            self._regcomm = RegisterComm(cg, injector=self.injector)
+            self._dma = DMAEngine(cg, self.ledger, injector=self.injector)
+
+    @classmethod
+    def keywords(cls) -> FrozenSet[str]:
+        """Every keyword argument this level's constructor takes."""
+        names = set()
+        for klass in cls.__mro__:
+            if issubclass(klass, LevelExecutor) and "__init__" in vars(klass):
+                names.update(inspect.signature(klass.__init__).parameters)
+        return frozenset(names - {"self", "machine", "kwargs"})
+
+    @classmethod
+    def check_keywords(cls, names: Iterable[str]) -> None:
+        """Raise :class:`ConfigurationError` on a keyword this level lacks."""
+        taken = cls.keywords()
+        for name in names:
+            if name not in taken:
+                raise ConfigurationError(
+                    f"level {cls.level} takes no keyword {name!r}")
+
+    @property
+    def plan(self) -> Any:
+        """The partition plan, made by :meth:`setup` (Levels 1–3)."""
+        if self._plan is None:
+            raise RuntimeError("executor has not been set up yet")
+        return self._plan
+
+    @property
+    def _itemsize(self) -> int:
+        """Bytes per element of the plan's dtype."""
+        return np.dtype(self.plan.dtype).itemsize
 
     # -- subclass interface ------------------------------------------------------
 
@@ -351,9 +436,10 @@ class LevelExecutor(ABC):
     def _map_assign(self, X: np.ndarray, C: np.ndarray,
                     blocks: Sequence[Tuple[int, int]],
                     topology: Optional[ReduceTopology],
-                    strict: Optional[StrictAssign] = None
+                    strict: Optional[StrictAssign] = None,
+                    chunk_elements: Optional[int] = None
                     ) -> Tuple[Any, List[Any], np.ndarray, np.ndarray]:
-        """This executor's Assign sweep over the plan's sample blocks.
+        """This executor's Assign sweep over its sample blocks.
 
         Runs :func:`~repro.core.block_tasks.map_assign` — carrying the
         pruned kernel's bound state when that kernel is active — and sets
@@ -364,7 +450,7 @@ class LevelExecutor(ABC):
             else None
         merged, partials, assignments, best_d2 = map_assign(
             self.engine, self.kernel, X, C, blocks, topology,
-            bounds=bounds, strict=strict)
+            bounds=bounds, strict=strict, chunk_elements=chunk_elements)
         self._iter_inertia = float(best_d2.sum() / X.shape[0])
         return merged, partials, assignments, best_d2
 
@@ -547,16 +633,16 @@ class LevelExecutor(ABC):
                 stacklevel=2,
             )
 
-        # Final objective under the final C, by lloyd()'s rule.  At an exact
-        # fixed point (shift == 0) the held labels *are* the nearest-centroid
-        # labels of the final C.  A max_iter or tol > 0 stop halts one Update
-        # past the last Assign, so the objective re-labels against the final
-        # C on the host (charging nothing); result.assignments stays the
-        # last-Assign labels.
+        # Final objective under the final C.  At an exact fixed point
+        # (shift == 0) the held labels *are* the nearest-centroid labels of
+        # the final C.  A max_iter or tol > 0 stop halts one Update past the
+        # last Assign, so the objective re-labels against the final C on the
+        # host (charging nothing); result.assignments stays the last-Assign
+        # labels.
         if converged and shift == 0.0:
             labels = assignments
         else:
-            labels = self.kernel.assign(X, C, RELABEL_CHUNK_ELEMENTS)
+            labels = self.kernel.assign(X, C, self.relabel_chunk_elements)
         if (assignments < 0).any():
             # A resume at start_iteration >= max_iter runs zero iterations;
             # the fresh labels make the result usable.

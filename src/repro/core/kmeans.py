@@ -9,7 +9,7 @@ footprint exceeds a core group's memory pay for the full nkd partition.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Iterable, Optional, Sequence, Type, Union
 
 import numpy as np
 
@@ -19,20 +19,29 @@ from ..machine.machine import Machine, sunway_machine
 from ..runtime.engine import EngineLike, resolve_engine
 from ..runtime.reduce import ReduceLike, resolve_reduce
 from ..runtime.faults import resolve_fault_plan
-from ._common import EMPTY_ACTIONS
-from .checkpoint import CHECKPOINT_DIR_ENV
+from .executor_base import (
+    LevelExecutor,
+    check_run_options,
+    resolve_run_kernel,
+)
 from .init import METHODS, RngLike, init_centroids
-from .kernels import KernelLike, resolve_kernel
+from .kernels import KernelLike
 from .recovery import RecoveryLike, resolve_recovery
 from .level1 import Level1Executor
 from .level2 import Level2Executor
 from .level3 import Level3Executor
-from .lloyd import lloyd
+from .lloyd import LloydExecutor
 from .partition import plan_level1, plan_level2, plan_level3
 from .result import KMeansResult
 
 #: Accepted values for the ``level`` argument.
 LEVELS = ("auto", 0, 1, 2, 3)
+
+#: The executor of each level; Level 0 is serial Lloyd.
+EXECUTORS: Dict[int, Type[LevelExecutor]] = {
+    0: LloydExecutor, 1: Level1Executor, 2: Level2Executor,
+    3: Level3Executor,
+}
 
 
 def select_level(machine: Machine, n: int, k: int, d: int,
@@ -59,6 +68,16 @@ def select_level(machine: Machine, n: int, k: int, d: int,
         f"no partition level fits n={n}, k={k}, d={d} on a machine with "
         f"{machine.n_cgs} CGs and {machine.ldm_bytes} B LDM per CPE"
     )
+
+
+def _check_keywords(names: Iterable[str], levels: Sequence[int]) -> None:
+    """Raise unless one of ``levels``' executors takes each keyword."""
+    if len(levels) == 1:
+        EXECUTORS[levels[0]].check_keywords(names)
+        return
+    for name in names:
+        if not any(name in EXECUTORS[level].keywords() for level in levels):
+            raise ConfigurationError(f"no level takes keyword {name!r}")
 
 
 class HierarchicalKMeans:
@@ -177,7 +196,10 @@ class HierarchicalKMeans:
         Extra keyword arguments forwarded to the level executor
         (``collective_algorithm``, ``strict_cpe``, ``streaming``,
         ``overlap_dma``, ``mgroup``, ``mprime_group``,
-        ``supernode_aware``...).
+        ``supernode_aware``, ``supervisor``...).  A keyword the executor
+        does not take raises :class:`~repro.errors.ConfigurationError`:
+        at construction for a forced level (Level 0 takes none of the
+        machine keywords) or one no level takes, else at ``fit()``.
 
     Examples
     --------
@@ -226,6 +248,8 @@ class HierarchicalKMeans:
             raise ConfigurationError(
                 f"init must be an array or one of {METHODS}, got {init!r}"
             )
+        _check_keywords(executor_kwargs,
+                        (1, 2, 3) if level == "auto" else (level,))
         self.n_clusters = int(n_clusters)
         self.machine = machine if machine is not None else sunway_machine(1)
         self.level = level
@@ -237,13 +261,8 @@ class HierarchicalKMeans:
         # Resolve eagerly: invalid names fail at construction, and the
         # backend instance (with its scratch buffers) is shared by every
         # restart, executor, and predict() call.
-        self.kernel = resolve_kernel(kernel)
-        if (kernel is None and executor_kwargs.get("strict_cpe")
-                and self.kernel.name != "naive"):
-            # Mirror the executor rule: an ambient REPRO_KERNEL default
-            # yields to strict-CPE fidelity (whose dataflow *is* the naive
-            # form); only an explicit non-naive kernel is an error there.
-            self.kernel = resolve_kernel("naive")
+        self.kernel = resolve_run_kernel(
+            kernel, bool(executor_kwargs.get("strict_cpe")))
         # Same eager rule for the execution engine: bad names (or a
         # serial/workers conflict) fail here, and one engine instance is
         # shared by every restart and executor.  The integrity mode rides
@@ -264,44 +283,18 @@ class HierarchicalKMeans:
         if checkpoint_dir is None:
             checkpoint_dir = read_str(ENV_CHECKPOINT_DIR)
         self.checkpoint_dir = checkpoint_dir
-        if resume and checkpoint_dir is None:
-            raise ConfigurationError(
-                "resume=True needs checkpoint_dir= (or the "
-                f"{CHECKPOINT_DIR_ENV} environment variable)"
-            )
+        check_run_options(level != 0, self.model_costs, self.faults, resume,
+                          checkpoint_dir, empty_action, deadline_s,
+                          watchdog_s)
         if resume and n_init > 1:
             raise ConfigurationError(
                 "resume=True is incompatible with n_init > 1: a resumed "
                 "trajectory belongs to exactly one restart"
             )
         self.resume = bool(resume)
-        if deadline_s is not None and not deadline_s > 0:
-            raise ConfigurationError(
-                f"deadline_s must be > 0 or None, got {deadline_s}"
-            )
         self.deadline_s = deadline_s
-        if watchdog_s is not None and not watchdog_s > 0:
-            raise ConfigurationError(
-                f"watchdog_s must be > 0 or None, got {watchdog_s}"
-            )
         self.watchdog_s = watchdog_s
-        if empty_action not in EMPTY_ACTIONS:
-            raise ConfigurationError(
-                f"empty_action must be one of {EMPTY_ACTIONS}, "
-                f"got {empty_action!r}"
-            )
         self.empty_action = empty_action
-        if self.faults:
-            if not self.model_costs:
-                raise ConfigurationError(
-                    "faults= requires model_costs=True: fault hooks fire "
-                    "from the cost-charging paths"
-                )
-            if level == 0:
-                raise ConfigurationError(
-                    "faults= requires a simulated level (1-3); the serial "
-                    "Lloyd baseline (level=0) has no machine to fail"
-                )
         self.executor_kwargs = executor_kwargs
         #: Filled by fit(): the level that actually ran.
         self.selected_level_: Optional[int] = None
@@ -363,44 +356,18 @@ class HierarchicalKMeans:
     def _fit_once(self, X: np.ndarray, level: int,
                   C0: np.ndarray) -> KMeansResult:
         """One run at a resolved level from explicit initial centroids."""
-        if level == 0:
-            return lloyd(X, C0, max_iter=self.max_iter, tol=self.tol,
-                         kernel=self.kernel, engine=self.engine,
-                         reduce=self.reduce,
-                         empty_action=self.empty_action,
-                         deadline_s=self.deadline_s,
-                         watchdog_s=self.watchdog_s,
-                         checkpoint_every=self.checkpoint_every,
-                         checkpoint_dir=self.checkpoint_dir,
-                         resume=self.resume,
-                         integrity=self.integrity)
-        kwargs = dict(self.executor_kwargs)
-        kwargs.setdefault("kernel", self.kernel)
-        kwargs.setdefault("engine", self.engine)
-        kwargs.setdefault("reduce", self.reduce)
-        kwargs.setdefault("integrity", self.integrity)
-        kwargs.setdefault("model_costs", self.model_costs)
-        # A fresh injector is built per run (inside the executor), so every
+        _check_keywords(self.executor_kwargs, (level,))
+        # A fresh executor (and fault injector) is built per run, so every
         # restart replays the same plan from the same seed.
-        kwargs.setdefault("faults", self.faults)
-        kwargs.setdefault("recovery", self.recovery)
-        kwargs.setdefault("checkpoint_every", self.checkpoint_every)
-        kwargs.setdefault("checkpoint_dir", self.checkpoint_dir)
-        kwargs.setdefault("resume", self.resume)
-        kwargs.setdefault("deadline_s", self.deadline_s)
-        kwargs.setdefault("watchdog_s", self.watchdog_s)
-        kwargs.setdefault("empty_action", self.empty_action)
-        if level == 1:
-            executor = Level1Executor(self.machine, **kwargs)
-            return executor.run(X, C0, max_iter=self.max_iter, tol=self.tol)
-        if level == 2:
-            executor = Level2Executor(self.machine, **kwargs)
-            return executor.run(X, C0, max_iter=self.max_iter, tol=self.tol)
-        if level == 3:
-            executor = Level3Executor(self.machine, **kwargs)
-            return executor.run(X, C0, max_iter=self.max_iter, tol=self.tol)
-        raise ConfigurationError(  # pragma: no cover - guarded by LEVELS
-            f"unsupported level {level}")
+        executor = EXECUTORS[level](
+            self.machine, kernel=self.kernel, engine=self.engine,
+            reduce=self.reduce, integrity=self.integrity,
+            model_costs=self.model_costs, faults=self.faults,
+            recovery=self.recovery, checkpoint_every=self.checkpoint_every,
+            checkpoint_dir=self.checkpoint_dir, resume=self.resume,
+            deadline_s=self.deadline_s, watchdog_s=self.watchdog_s,
+            empty_action=self.empty_action, **self.executor_kwargs)
+        return executor.run(X, C0, max_iter=self.max_iter, tol=self.tol)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Nearest-centroid assignment of new samples under the fitted model."""

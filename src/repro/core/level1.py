@@ -20,11 +20,9 @@ import numpy as np
 
 from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
-from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
-from ..runtime.regcomm import RegisterComm
 from .executor_base import LevelExecutor
-from .partition import Level1Plan, plan_level1
+from .partition import plan_level1
 from .result import KMeansResult
 
 
@@ -33,24 +31,11 @@ class Level1Executor(LevelExecutor):
 
     level = 1
 
-    def __init__(self, machine: Machine, plan: Optional[Level1Plan] = None,
-                 **kwargs) -> None:
+    def __init__(self, machine: Machine, **kwargs) -> None:
         super().__init__(machine, **kwargs)
-        self._plan = plan
-        self._itemsize = 8
-        self._regcomm = RegisterComm(machine.spec.processor.cg,
-                                     injector=self.injector)
-        self._dma = DMAEngine(machine.spec.processor.cg, self.ledger,
-                              injector=self.injector)
         self._comm: Optional[SimComm] = None
         #: active CPE units per CG: cg_index -> list of unit ids
         self._units_by_cg: Dict[int, List[int]] = {}
-
-    @property
-    def plan(self) -> Level1Plan:
-        if self._plan is None:
-            raise RuntimeError("executor has not been set up yet")
-        return self._plan
 
     # -- setup ------------------------------------------------------------------
 
@@ -60,7 +45,6 @@ class Level1Executor(LevelExecutor):
         if self._plan is None:
             self._plan = plan_level1(self.machine, n, k, d, dtype=X.dtype)
         plan = self._plan
-        self._itemsize = np.dtype(plan.dtype).itemsize
 
         by_cg: Dict[int, List[int]] = defaultdict(list)
         for unit in range(plan.units):

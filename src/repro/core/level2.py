@@ -22,12 +22,10 @@ import numpy as np
 
 from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
-from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
-from ..runtime.regcomm import RegisterComm
 from .block_tasks import strict_l2_assign
 from .executor_base import LevelExecutor
-from .partition import Level2Plan, plan_level2
+from .partition import plan_level2
 from .result import KMeansResult
 
 
@@ -36,26 +34,13 @@ class Level2Executor(LevelExecutor):
 
     level = 2
 
-    def __init__(self, machine: Machine, plan: Optional[Level2Plan] = None,
-                 mgroup: Optional[int] = None, streaming: bool = False,
-                 **kwargs) -> None:
+    def __init__(self, machine: Machine, mgroup: Optional[int] = None,
+                 streaming: bool = False, **kwargs) -> None:
         super().__init__(machine, **kwargs)
-        self._plan = plan
         self._mgroup_request = mgroup
         self._streaming = bool(streaming)
-        self._itemsize = 8
-        self._regcomm = RegisterComm(machine.spec.processor.cg,
-                                     injector=self.injector)
-        self._dma = DMAEngine(machine.spec.processor.cg, self.ledger,
-                              injector=self.injector)
         self._comm: Optional[SimComm] = None
         self._groups_by_cg: Dict[int, List[int]] = {}
-
-    @property
-    def plan(self) -> Level2Plan:
-        if self._plan is None:
-            raise RuntimeError("executor has not been set up yet")
-        return self._plan
 
     # -- setup ---------------------------------------------------------------
 
@@ -68,7 +53,6 @@ class Level2Executor(LevelExecutor):
                                      streaming=self._streaming,
                                      dtype=X.dtype)
         plan = self._plan
-        self._itemsize = np.dtype(plan.dtype).itemsize
 
         by_cg: Dict[int, List[int]] = defaultdict(list)
         for g in range(plan.n_groups):

@@ -29,12 +29,10 @@ import numpy as np
 
 from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
-from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
-from ..runtime.regcomm import RegisterComm
 from .block_tasks import strict_l3_assign
 from .executor_base import LevelExecutor
-from .partition import Level3Plan, plan_level3
+from .partition import plan_level3
 from .result import KMeansResult
 
 
@@ -43,30 +41,17 @@ class Level3Executor(LevelExecutor):
 
     level = 3
 
-    def __init__(self, machine: Machine, plan: Optional[Level3Plan] = None,
-                 mprime_group: Optional[int] = None,
+    def __init__(self, machine: Machine, mprime_group: Optional[int] = None,
                  supernode_aware: bool = True, streaming: bool = False,
                  **kwargs) -> None:
         super().__init__(machine, **kwargs)
-        self._plan = plan
         self._mprime_request = mprime_group
         self._supernode_aware = supernode_aware
         self._streaming = bool(streaming)
-        self._itemsize = 8
-        self._regcomm = RegisterComm(machine.spec.processor.cg,
-                                     injector=self.injector)
-        self._dma = DMAEngine(machine.spec.processor.cg, self.ledger,
-                              injector=self.injector)
         #: one communicator per CG group (for the MINLOC step)
         self._group_comms: List[SimComm] = []
         #: one communicator per member position (for the update AllReduce)
         self._member_comms: List[SimComm] = []
-
-    @property
-    def plan(self) -> Level3Plan:
-        if self._plan is None:
-            raise RuntimeError("executor has not been set up yet")
-        return self._plan
 
     # -- setup ---------------------------------------------------------------
 
@@ -82,7 +67,6 @@ class Level3Executor(LevelExecutor):
                 dtype=X.dtype,
             )
         plan = self._plan
-        self._itemsize = np.dtype(plan.dtype).itemsize
 
         self._group_comms = [
             SimComm(self.machine, members, self.collective_algorithm,

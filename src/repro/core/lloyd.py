@@ -5,40 +5,76 @@ This is the textbook two-step iteration the paper builds on (section II.B.2):
 1. **Assign**: ``a(i) = argmin_j dis(x_i, c_j)``
 2. **Update**: ``c_j = mean of samples assigned to j``
 
-The partitioned Level 1/2/3 executors must reproduce this trajectory exactly
+:class:`LloydExecutor` is Level 0 of the one iteration driver
+(:class:`~repro.core.executor_base.LevelExecutor`): no machine is
+simulated, and the Assign sweep runs over the kernel's own chunks.  The
+partitioned Level 1–3 executors must reproduce its trajectory exactly
 (same assignments, same centroids within fp tolerance) for any feasible
 configuration; the integration tests enforce it.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import List, Optional
+from typing import Any, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import (
-    ConfigurationError,
-    ConvergenceWarning,
-    NumericalFaultError,
-)
-from ..runtime.engine import EngineLike, resolve_engine
-from ..runtime.ledger import NullLedger
-from ..runtime.reduce import ReduceLike, resolve_reduce, scatter_bounds
-from ..runtime.supervisor import SupervisorLike, resolve_supervisor
+from ..machine.machine import Machine
+from ..runtime.engine import EngineLike
+from ..runtime.reduce import ReduceLike
+from ..runtime.supervisor import SupervisorLike
 from ._common import (
     DEFAULT_CHUNK_ELEMENTS,
     chunk_ranges,
-    inertia,
-    max_centroid_shift,
     update_centroids,
     validate_data,
 )
-from .block_tasks import map_assign
-from .bounds import BlockBounds
-from .checkpoint import CheckpointConfig, CheckpointStore
-from .kernels import KernelLike, PrunedKernel, resolve_kernel
-from .result import IterationStats, KMeansResult
+from .executor_base import MACHINE_KEYWORDS, LevelExecutor
+from .kernels import KernelLike, resolve_kernel
+from .result import KMeansResult
+
+
+class LloydExecutor(LevelExecutor):
+    """Level 0: serial Lloyd on the host, pricing nothing.
+
+    The blocks are the kernel's :func:`~repro.core._common.chunk_ranges`
+    for ``chunk_elements`` — a function of the problem shape only, never
+    of the engine or worker count — and every task and the final re-label
+    keep that working-set bound.  ``machine`` is ignored: Level 0
+    simulates none, takes none of the machine keywords, and its result
+    carries no ledger.
+    """
+
+    level = 0
+
+    def __init__(self, machine: Optional[Machine] = None,
+                 chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
+                 **kwargs: Any) -> None:
+        self.check_keywords(kwargs)
+        super().__init__(None, **kwargs)
+        self.chunk_elements = self.relabel_chunk_elements = chunk_elements
+        self._blocks: List[Tuple[int, int]] = []
+
+    @classmethod
+    def keywords(cls) -> FrozenSet[str]:
+        return super().keywords() - MACHINE_KEYWORDS
+
+    def setup(self, X: np.ndarray, C: np.ndarray) -> None:
+        n, d = X.shape
+        self._blocks = list(chunk_ranges(n, self.kernel.chunk_rows(
+            n, C.shape[0], d, self.chunk_elements)))
+
+    def iterate(self, X: np.ndarray, C: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        merged, partials, assignments, best_d2 = self._map_assign(
+            X, C, self._blocks, self.reduce,
+            chunk_elements=self.chunk_elements)
+        new_C = self.update_step(merged.sums, merged.counts, C,
+                                 X=X, best_d2=best_d2)
+        if self.kernel.name == "pruned":
+            self._commit_pruned_state(C, assignments, best_d2, merged,
+                                      partials)
+        return assignments, new_C
 
 
 def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
@@ -129,135 +165,13 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
     -------
     KMeansResult with level = 0 and no time ledger.
     """
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
-    if tol < 0:
-        raise ConfigurationError(f"tol must be >= 0, got {tol}")
-    if resume and checkpoint_dir is None:
-        raise ConfigurationError(
-            "resume=True needs checkpoint_dir= (there is no on-disk "
-            "snapshot to resume from otherwise)"
-        )
-    backend = resolve_kernel(kernel)
-    exec_engine = resolve_engine(engine, workers, integrity=integrity)
-    topology = resolve_reduce(reduce)
-    run_supervisor = resolve_supervisor(supervisor, deadline_s, watchdog_s)
-    # Level 0 has no time ledger: the NullLedger swallows the modelled
-    # checkpoint charges, leaving only the durable host-side persistence.
-    # The store shares the engine's chaos injector and integrity mode so
-    # bitflip_checkpoint plans reach the durable writes and resumes verify.
-    checkpoints = CheckpointStore(CheckpointConfig(every=checkpoint_every),
-                                  NullLedger(), directory=checkpoint_dir,
-                                  chaos=exec_engine.chaos,
-                                  integrity=exec_engine.integrity,
-                                  record=run_supervisor.record)
-    X, C = validate_data(X, np.array(centroids, copy=True))
-    n = X.shape[0]
-
-    start_iteration = 0
-    if resume:
-        C, start_iteration = checkpoints.resume(C)
-    if start_iteration == 0:
-        checkpoints.save_initial(C)
-    # Pruned bound state is created *after* any resume restore: the carrier
-    # starts invalid, so the first (possibly resumed) iteration establishes
-    # the bounds from scratch — nothing stale survives a restart (D107).
-    pruned_bounds = (BlockBounds() if isinstance(backend, PrunedKernel)
-                     else None)
-
-    # Shard boundaries come from the backend's own chunk policy: a function
-    # of the problem shape only, never of the engine or worker count.
-    blocks = list(chunk_ranges(n, backend.chunk_rows(
-        n, C.shape[0], X.shape[1], chunk_elements)))
-
-    run_supervisor.start()
-    history: List[IterationStats] = []
-    assignments = np.full(n, -1, dtype=np.int64)
-    converged = False
-    it = start_iteration
-    shift = np.inf
-    for it in range(start_iteration + 1, max_iter + 1):
-        run_supervisor.begin_iteration(it)
-        merged, partials, new_assignments, best_d2 = map_assign(
-            exec_engine, backend, X, C, blocks, topology,
-            bounds=pruned_bounds, chunk_elements=chunk_elements)
-        if pruned_bounds is not None:
-            # Level 0 has no fault loop, so there is no half-commit hazard:
-            # the fresh bounds are adopted at once.
-            lb = np.empty(n, dtype=np.float64)
-            scatter_bounds(partials, lb)
-            pruned_bounds.commit(C, new_assignments, best_d2, lb)
-        # The per-block payloads must not outlive the iteration.
-        del partials
-        new_C = update_centroids(merged.sums, merged.counts, C,
-                                 empty_action=empty_action,
-                                 X=X, best_d2=best_d2)
-        run_supervisor.absorb(exec_engine)
-        # Numerical guard: level 0 has no recovery loop, so a poisoned
-        # partial (e.g. host-side corruption at the engine seam) fails
-        # loudly here instead of converging to garbage.
-        if not np.isfinite(new_C).all():
-            raise NumericalFaultError(
-                f"non-finite centroids after the iteration {it} Update "
-                f"step", iteration=it,
-            )
-
-        shift = max_centroid_shift(C, new_C)
-        n_reassigned = int((new_assignments != assignments).sum())
-        history.append(IterationStats(
-            iteration=it,
-            # Mean winning squared distance under the incoming C — the same
-            # objective the einsum re-pass computed, without the extra
-            # O(n d) sweep.
-            inertia=float(best_d2.sum() / n),
-            centroid_shift=shift,
-            n_reassigned=n_reassigned,
-        ))
-        assignments = new_assignments
-        C = new_C
-        run_supervisor.end_iteration(it)
-        if shift <= tol:
-            converged = True
-            break
-        checkpoints.maybe_save(it, C)
-
-    if not converged and history:
-        warnings.warn(
-            f"lloyd did not converge in {max_iter} iterations (last "
-            f"centroid shift {history[-1].centroid_shift:.3g} > tol "
-            f"{tol:g}); consider raising max_iter",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-
-    # Final objective under the final C.  At an exact fixed point
-    # (shift == 0) the held assignments *are* the nearest-centroid labels
-    # for the final C, so the O(n d) einsum suffices with no extra Assign
-    # pass.  A tol > 0 stop (or max_iter exhaustion) halts one Update past
-    # the last Assign, so the held labels may be stale against the final C
-    # — recompute them for the objective only, keeping result.inertia the
-    # true O(C) as before.  result.assignments stays the last-Assign labels
-    # in every case.
-    if (assignments < 0).any():
-        # A resume at start_iteration >= max_iter runs zero iterations;
-        # label against the restored centroids so the result is usable.
-        assignments = backend.assign(X, C, chunk_elements)
-    if converged and shift == 0.0:
-        final_inertia = inertia(X, C, assignments)
-    else:
-        final_inertia = inertia(X, C, backend.assign(X, C, chunk_elements))
-
-    return KMeansResult(
-        centroids=C,
-        assignments=assignments,
-        inertia=final_inertia,
-        n_iter=it,
-        converged=converged,
-        history=history,
-        ledger=None,
-        level=0,
-        host_events=list(run_supervisor.events),
-    )
+    return LloydExecutor(
+        chunk_elements=chunk_elements, kernel=kernel, engine=engine,
+        workers=workers, reduce=reduce, empty_action=empty_action,
+        deadline_s=deadline_s, watchdog_s=watchdog_s, supervisor=supervisor,
+        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
+        resume=resume, integrity=integrity,
+    ).run(X, centroids, max_iter=max_iter, tol=tol)
 
 
 def lloyd_single_iteration(X: np.ndarray, centroids: np.ndarray,

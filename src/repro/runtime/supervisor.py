@@ -69,6 +69,19 @@ class HostEvent:
         return f"iter {self.iteration} {self.kind}{detail}{extra}"
 
 
+def check_budgets(deadline_s: Optional[float],
+                  watchdog_s: Optional[float]) -> None:
+    """Both wall-clock budgets must be positive or None."""
+    if deadline_s is not None and not deadline_s > 0:
+        raise ConfigurationError(
+            f"deadline_s must be > 0 or None, got {deadline_s}"
+        )
+    if watchdog_s is not None and not watchdog_s > 0:
+        raise ConfigurationError(
+            f"watchdog_s must be > 0 or None, got {watchdog_s}"
+        )
+
+
 class RunSupervisor:
     """Watches one convergence loop against the host wall clock.
 
@@ -88,14 +101,7 @@ class RunSupervisor:
     def __init__(self, deadline_s: Optional[float] = None,
                  watchdog_s: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if deadline_s is not None and not deadline_s > 0:
-            raise ConfigurationError(
-                f"deadline_s must be > 0 or None, got {deadline_s}"
-            )
-        if watchdog_s is not None and not watchdog_s > 0:
-            raise ConfigurationError(
-                f"watchdog_s must be > 0 or None, got {watchdog_s}"
-            )
+        check_budgets(deadline_s, watchdog_s)
         self.deadline_s = deadline_s
         self.watchdog_s = watchdog_s
         self._clock = clock

@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.reprolint import all_rules, lint_source
+from repro.analysis.reprolint import all_rules, lint_file, lint_source
 
 CORE = "src/repro/core/snippet.py"
 RUNTIME = "src/repro/runtime/snippet.py"
@@ -694,6 +694,19 @@ class TestT501:
                 return n
         """
         assert_clean(src, CORE, "T501")
+
+    @pytest.mark.parametrize("above", ["tests", "neutral"])
+    def test_scope_ignores_directories_above_the_project(self, tmp_path,
+                                                         above):
+        # The same checkout under a directory named "tests" or under a
+        # neutral one: only the path inside the project decides scope.
+        repo = tmp_path / above / "checkout"
+        (repo / "pkg" / "core").mkdir(parents=True)
+        (repo / "pyproject.toml").write_text("[project]\n")
+        snippet = repo / "pkg" / "core" / "snippet.py"
+        snippet.write_text("def assign(X, C):\n    return X @ C\n")
+        hits = lint_file(snippet)
+        assert [(f.rule, f.line) for f in hits] == [("T501", 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.core.lloyd import lloyd
 from repro.data.synthetic import gaussian_blobs
 from repro.errors import ConfigurationError, PartitionError
 from repro.machine.machine import toy_machine
+from repro.runtime.supervisor import RunSupervisor
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,17 @@ class TestFitPredict:
         result = model.fit(X)
         assert result.level == 0
         assert result.ledger is None
+
+    def test_level_zero_equals_lloyd_bitwise(self, machine, blobs):
+        X, _ = blobs
+        C0 = np.array(X[:6], dtype=np.float64)
+        result = HierarchicalKMeans(6, machine=machine, level=0, init=C0,
+                                    max_iter=40).fit(X)
+        ref = lloyd(X, C0, max_iter=40)
+        np.testing.assert_array_equal(result.centroids, ref.centroids)
+        np.testing.assert_array_equal(result.assignments, ref.assignments)
+        assert result.inertia == ref.inertia
+        assert result.history == ref.history
 
     def test_predict_assigns_new_points(self, machine, blobs):
         X, _ = blobs
@@ -156,6 +168,55 @@ class TestValidation:
         model = HierarchicalKMeans(6, machine=machine)
         assert model.resolve_level(X) == 1
         assert model.result_ is None
+
+
+class TestExecutorKeywords:
+    def test_forced_level_rejects_unknown_keyword(self, machine):
+        with pytest.raises(ConfigurationError,
+                           match="level 3 takes no keyword 'bounded'"):
+            HierarchicalKMeans(4, machine=machine, level=3, bounded=True)
+
+    def test_forced_level_rejects_other_levels_keyword(self, machine):
+        with pytest.raises(ConfigurationError,
+                           match="level 1 takes no keyword 'mgroup'"):
+            HierarchicalKMeans(4, machine=machine, level=1, mgroup=2)
+
+    @pytest.mark.parametrize("keyword, value", [
+        ("strict_cpe", True), ("mgroup", 3), ("mprime_group", 2),
+        ("streaming", True), ("overlap_dma", True),
+        ("collective_algorithm", "tree"), ("compute_efficiency", 0.5),
+        ("plan", None),
+    ])
+    def test_level_zero_takes_no_machine_keyword(self, keyword, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"level 0 takes no keyword '{keyword}'"):
+            HierarchicalKMeans(4, level=0, **{keyword: value})
+
+    def test_auto_rejects_keyword_no_level_takes(self, machine):
+        with pytest.raises(ConfigurationError,
+                           match="no level takes keyword 'bounded'"):
+            HierarchicalKMeans(4, machine=machine, bounded=True)
+
+    def test_auto_rejects_chosen_levels_missing_keyword_at_fit(
+            self, machine, blobs):
+        X, _ = blobs
+        model = HierarchicalKMeans(6, machine=machine, mgroup=2,
+                                   max_iter=5)  # auto picks Level 1
+        with pytest.raises(ConfigurationError,
+                           match="level 1 takes no keyword 'mgroup'"):
+            model.fit(X)
+
+    @pytest.mark.parametrize("level", ["auto", 0, 1, 2, 3])
+    def test_supervisor_accepted_at_every_level(self, machine, blobs, level):
+        # A watchdog no iteration can meet flags every one of them, so the
+        # events show the run used this supervisor.
+        X, _ = blobs
+        supervisor = RunSupervisor(watchdog_s=1e-12)
+        result = HierarchicalKMeans(6, machine=machine, level=level,
+                                    init="first", max_iter=40,
+                                    supervisor=supervisor).fit(X)
+        assert result.host_events == supervisor.events
+        assert any(e.kind == "slow_iteration" for e in result.host_events)
 
 
 class TestMultiRestart:

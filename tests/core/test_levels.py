@@ -20,7 +20,13 @@ from repro.data.synthetic import gaussian_blobs
 from repro.errors import ConfigurationError, ConvergenceWarning
 from repro.machine.machine import toy_machine
 
-RUNNERS = {1: run_level1, 2: run_level2, 3: run_level3}
+
+def run_level0(X, C0, machine, **kwargs):
+    """Level 0 in the runners' signature; serial Lloyd takes no machine."""
+    return lloyd(X, C0, **kwargs)
+
+
+RUNNERS = {0: run_level0, 1: run_level1, 2: run_level2, 3: run_level3}
 EXECUTORS = {1: Level1Executor, 2: Level2Executor, 3: Level3Executor}
 
 
@@ -177,27 +183,28 @@ class TestEdgeCases:
         result = RUNNERS[level](X, C0, machine, max_iter=20)
         np.testing.assert_array_equal(result.assignments, ref.assignments)
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_k_equals_one(self, level, machine):
         X, _ = gaussian_blobs(n=64, k=2, d=4, seed=1)
         C0 = X[:1].copy()
         result = RUNNERS[level](X, C0, machine, max_iter=10)
         np.testing.assert_allclose(result.centroids[0], X.mean(axis=0))
+        assert result.converged
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_max_iter_one(self, level, machine, workload):
         X, C0 = workload
         result = RUNNERS[level](X, C0, machine, max_iter=1)
         assert result.n_iter == 1
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_unconverged_run_warns(self, level, machine, workload):
         X, C0 = workload
         with pytest.warns(ConvergenceWarning, match="did not converge"):
             result = RUNNERS[level](X, C0, machine, max_iter=1)
         assert not result.converged
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_converged_run_does_not_warn(self, level, machine, workload):
         X, C0 = workload
         with warnings.catch_warnings():
@@ -205,7 +212,7 @@ class TestEdgeCases:
             result = RUNNERS[level](X, C0, machine, max_iter=60)
         assert result.converged
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_empty_cluster_keeps_centroid(self, level, machine):
         # Place one centroid far away so it captures nothing.
         X = np.random.default_rng(3).normal(size=(60, 4))
@@ -213,7 +220,7 @@ class TestEdgeCases:
         result = RUNNERS[level](X, C0, machine, max_iter=3)
         np.testing.assert_allclose(result.centroids[3], 1e6)
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_invalid_max_iter(self, level, machine, workload):
         X, C0 = workload
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,9 @@
-"""Tests for the serial Lloyd baseline."""
+"""Tests for the serial Lloyd baseline.
+
+The edge cases every level shares (k=1, max_iter=1, the convergence
+warning, an empty cluster, an invalid max_iter) run at Level 0 too in
+``tests/core/test_levels.py``.
+"""
 
 import warnings
 
@@ -47,20 +52,6 @@ class TestConvergence:
         with pytest.warns(ConvergenceWarning):
             result = lloyd(X, C0, max_iter=2)
         assert result.n_iter <= 2
-
-    def test_unconverged_run_warns(self, blobs):
-        X, _ = blobs
-        C0 = init_centroids(X, 5, method="first")
-        with pytest.warns(ConvergenceWarning, match="did not converge"):
-            lloyd(X, C0, max_iter=1)
-
-    def test_converged_run_does_not_warn(self, blobs):
-        X, _ = blobs
-        C0 = init_centroids(X, 5, method="kmeans++", seed=7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ConvergenceWarning)
-            result = lloyd(X, C0, max_iter=100)
-        assert result.converged
 
     def test_tol_loosens_convergence(self, blobs):
         X, _ = blobs
@@ -115,12 +106,6 @@ class TestCorrectness:
         assert result.inertia == pytest.approx(
             inertia(X, result.centroids, result.assignments))
 
-    def test_k_equals_one(self):
-        X = np.random.default_rng(0).normal(size=(50, 3))
-        result = lloyd(X, X[:1].copy(), max_iter=10)
-        np.testing.assert_allclose(result.centroids[0], X.mean(axis=0))
-        assert result.converged
-
     def test_k_equals_n(self):
         X = np.random.default_rng(1).normal(size=(10, 2))
         result = lloyd(X, X.copy(), max_iter=5)
@@ -154,11 +139,6 @@ class TestSingleIteration:
 
 
 class TestValidation:
-    def test_bad_max_iter(self, blobs):
-        X, _ = blobs
-        with pytest.raises(ConfigurationError):
-            lloyd(X, X[:2], max_iter=0)
-
     def test_bad_tol(self, blobs):
         X, _ = blobs
         with pytest.raises(ConfigurationError):

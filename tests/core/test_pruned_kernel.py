@@ -480,6 +480,28 @@ def _tiny_cloud(draw: Any) -> Tuple[np.ndarray, np.ndarray]:
 _CASES = st.one_of(_adversarial_case(), _decimal_lattice(), _tiny_cloud())
 
 
+def _assert_same_outcome(run) -> None:
+    """``run(kernel)`` gives the same result, or the identical error,
+    under the naive and the pruned kernel.
+
+    Distances past the float range fail the driver's inertia guard at
+    every level; the pruned run must then fail the same way.
+    """
+    outcomes = []
+    for kernel in ("naive", "pruned"):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                outcomes.append(run(kernel))
+        except NumericalFaultError as exc:
+            outcomes.append(str(exc))
+    ref, out = outcomes
+    if isinstance(ref, str):
+        assert out == ref
+    else:
+        _assert_same_result(ref, out)
+
+
 class TestHypothesisInvariance:
     @given(case=_CASES, chunk=st.sampled_from([1, 64, None]))
     @settings(max_examples=200, deadline=None)
@@ -489,39 +511,22 @@ class TestHypothesisInvariance:
         X, C0 = case
         kwargs = {} if chunk is None else {
             "chunk_elements": chunk * C0.shape[0] * C0.shape[1]}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            ref = lloyd(X, C0, max_iter=8, kernel="naive", **kwargs)
-            out = lloyd(X, C0, max_iter=8, kernel="pruned", **kwargs)
-        _assert_same_result(ref, out)
+        _assert_same_outcome(lambda kernel: lloyd(
+            X, C0, max_iter=8, kernel=kernel, **kwargs))
 
     @given(case=_CASES, level=st.sampled_from([1, 2, 3]))
     @settings(max_examples=15, deadline=None)
     def test_levels_pruned_equal_naive(
             self, machine: Machine, case: Tuple[np.ndarray, np.ndarray],
             level: int) -> None:
-        # Distances past the float range fail the executors' inertia
-        # guard; the pruned run must then fail the same way.  Executors
-        # take at most n centroids.
+        # Executors take at most n centroids.
         X, C0 = case
         C0 = C0[:X.shape[0]]
         executor = {1: Level1Executor, 2: Level2Executor,
                     3: Level3Executor}[level]
-        outcomes = []
-        for kernel in ("naive", "pruned"):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ConvergenceWarning)
-                    outcomes.append(executor(
-                        machine, kernel=kernel, engine="thread", workers=2,
-                        model_costs=False).run(X, C0, max_iter=6))
-            except NumericalFaultError as exc:
-                outcomes.append(str(exc))
-        ref, out = outcomes
-        if isinstance(ref, str):
-            assert out == ref
-        else:
-            _assert_same_result(ref, out)
+        _assert_same_outcome(lambda kernel: executor(
+            machine, kernel=kernel, engine="thread", workers=2,
+            model_costs=False).run(X, C0, max_iter=6))
 
 
 # ---------------------------------------------------------------------------

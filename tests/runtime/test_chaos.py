@@ -228,20 +228,29 @@ def test_lloyd_nan_chaos_caught_by_numerical_guard(workload):
         lloyd(X, C0, max_iter=30, chunk_elements=_CHUNK, engine=engine)
 
 
-def _fit_level1(engine=None, **kwargs):
+#: The poisoned task: Level 0 runs one task per iteration, so its task 1
+#: is in the second (and last) iteration; Level 1's task 2 is in its first.
+_NAN_TASK = {0: 1, 1: 2}
+
+
+def _nan_engine(level):
+    return SerialEngine(chaos=ChaosInjector(ChaosPlan(
+        [ChaosSpec("nan_result", task_id=_NAN_TASK[level])])))
+
+
+def _fit_level(level, engine=None, **kwargs):
     X, _ = gaussian_blobs(n=300, k=3, d=5, seed=4)
     model = HierarchicalKMeans(
-        3, machine=toy_machine(n_nodes=2), level=1, seed=11, max_iter=60,
-        engine=engine, **kwargs)
+        3, machine=toy_machine(n_nodes=2), level=level, seed=11,
+        max_iter=60, engine=engine, **kwargs)
     return model.fit(X)
 
 
-def test_executor_nan_chaos_rolled_back_bit_identical():
-    clean = _fit_level1()
-    engine = SerialEngine(
-        chaos=ChaosInjector(ChaosPlan([ChaosSpec("nan_result", task_id=2)])))
-    survived = _fit_level1(engine=engine, recovery="replan",
-                           checkpoint_every=1)
+@pytest.mark.parametrize("level", [0, 1])
+def test_executor_nan_chaos_rolled_back_bit_identical(level):
+    clean = _fit_level(level)
+    survived = _fit_level(level, engine=_nan_engine(level),
+                          recovery="replan", checkpoint_every=1)
     # The poisoned partial cost one rollback; the deterministic trajectory
     # then re-walks the same path to the identical fixed point.
     assert any(e.kind == "rollback" for e in survived.host_events)
@@ -249,8 +258,7 @@ def test_executor_nan_chaos_rolled_back_bit_identical():
     np.testing.assert_array_equal(clean.assignments, survived.assignments)
 
 
-def test_executor_nan_chaos_fail_fast_fails():
-    engine = SerialEngine(
-        chaos=ChaosInjector(ChaosPlan([ChaosSpec("nan_result", task_id=2)])))
+@pytest.mark.parametrize("level", [0, 1])
+def test_executor_nan_chaos_fail_fast_fails(level):
     with pytest.raises(NumericalFaultError):
-        _fit_level1(engine=engine)  # default fail_fast recovery
+        _fit_level(level, engine=_nan_engine(level))  # fail_fast default
