@@ -1,6 +1,7 @@
 """Benchmarks of the host execution engine and the fused hot path.
 
-Four sweeps, all standalone (no pytest-benchmark dependency):
+Four sweeps and one probe, all standalone (no pytest-benchmark
+dependency):
 
 * **engine** — serial vs ThreadEngine vs ProcessEngine wall-clock for
   ``lloyd`` over an {n, k, d} x kernel grid including the flagship shape
@@ -15,7 +16,10 @@ Four sweeps, all standalone (no pytest-benchmark dependency):
   recorded and gated);
 * **fused** — the fused ``assign_accumulate`` + inertia-from-best-d2 path
   vs the unfused ``assign_with_distances`` + ``np.add.at`` accumulate +
-  separate inertia pass it replaced, per kernel backend.
+  separate inertia pass it replaced, per kernel backend;
+* **blas** — the BLAS thread counts of a pooled run: the parent's count
+  outside a run, inside a thread and a process run, and after each, and
+  every process-engine worker's count.
 
 Run::
 
@@ -23,8 +27,13 @@ Run::
         [--quick] [--check] [--workers N] [--out BENCH_engine.json]
 
 ``--check`` exits non-zero when any parity assertion fails, the chaos
-sweep injects fewer than 100 kills (or drifts numerically), or the fused
-path is slower than the unfused one on the flagship shape.  Thread and
+sweep injects fewer than 100 kills (or drifts numerically), the fused
+path is slower than the unfused one on the flagship shape, or the BLAS
+budget is not held: a run must hold the parent at its engine's budget and
+restore it afterwards, and every worker must run ``max(1, cpu_count //
+workers)`` threads (never more than the parent's count outside a run).
+That wiring check holds on any host; where NumPy's BLAS is not the bundled
+OpenBLAS there is nothing to hold and it passes.  Thread and
 process *speedups* are recorded always but gated only where the host can
 physically show one (``cpu_count`` is written into the JSON; a
 single-core host runs real processes, just not in parallel).
@@ -46,9 +55,16 @@ from repro.core.kmeans import HierarchicalKMeans
 from repro.core.lloyd import lloyd
 from repro.data.synthetic import gaussian_blobs
 from repro.machine.machine import toy_machine
+from repro.runtime import blas
 from repro.runtime.chaos import ChaosInjector, parse_chaos_plan
-from repro.runtime.engine import SerialEngine, ThreadEngine, shutdown_pools
+from repro.runtime.engine import (
+    SerialEngine,
+    ThreadEngine,
+    blas_share,
+    shutdown_pools,
+)
 from repro.runtime.process_engine import ProcessEngine
+from repro.runtime.supervisor import RunSupervisor
 
 FLAGSHIP = (100_000, 256, 64, "gemm")  # acceptance shape for the engine sweep
 
@@ -212,6 +228,70 @@ def _worker_kill_sweep(workers, kill_p, max_iter):
 
 
 # ---------------------------------------------------------------------------
+# BLAS thread budget: the counts a pooled run sets
+# ---------------------------------------------------------------------------
+
+class _BlasProbe(RunSupervisor):
+    """A supervisor that samples the parent's BLAS count each iteration."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def begin_iteration(self, iteration):
+        self.seen.append(blas.get_num_threads())
+        super().begin_iteration(iteration)
+
+
+def _worker_blas_threads(_):
+    """Engine task: this worker's pid and BLAS thread count."""
+    return os.getpid(), blas.get_num_threads()
+
+
+def _blas_budget(workers, max_iter):
+    """Read the BLAS counts of a thread and a process run, and of workers.
+
+    The process pool is the one the engine sweep forked inside its runs,
+    so the workers read here were started under a lowered parent count.
+    """
+    X, _ = gaussian_blobs(n=4_000, k=8, d=8, seed=29)
+    C0 = X[:8].copy()
+    default = blas.get_num_threads()
+    row = {"library": default is not None, "workers": workers,
+           "parent_default": default}
+    for name in ("thread", "process"):
+        probe = _BlasProbe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lloyd(X, C0, max_iter=max_iter, engine=name, workers=workers,
+                  supervisor=probe)
+        row[f"parent_in_{name}_run"] = sorted(set(probe.seen))
+        row[f"parent_after_{name}_run"] = blas.get_num_threads()
+    by_pid = dict(ProcessEngine(workers).map(_worker_blas_threads,
+                                             range(2 * workers)))
+    row["worker_threads"] = [by_pid[pid] for pid in sorted(by_pid)]
+    if default is None:
+        row["budget_held"] = True  # no bundled OpenBLAS: nothing to hold
+    else:
+        share = min(blas_share(workers), default)
+        row["budget_held"] = (
+            row["parent_in_thread_run"] == [share]
+            and row["parent_in_process_run"] == [1]
+            and row["parent_after_thread_run"] == default
+            and row["parent_after_process_run"] == default
+            and len(by_pid) == workers
+            and all(count == share for count in row["worker_threads"]))
+    print(f"  BLAS threads: parent {default} outside a run, "
+          f"{row['parent_in_thread_run']} in a thread run, "
+          f"{row['parent_in_process_run']} in a process run, back to "
+          f"{row['parent_after_thread_run']}/"
+          f"{row['parent_after_process_run']}; workers "
+          f"{row['worker_threads']} — "
+          f"{'held' if row['budget_held'] else 'NOT HELD'}")
+    return row
+
+
+# ---------------------------------------------------------------------------
 # fused vs unfused ablation
 # ---------------------------------------------------------------------------
 
@@ -294,6 +374,8 @@ def main(argv=None):
           f"{args.workers} workers, cpu_count={os.cpu_count()}):")
     engine_rows = _engine_sweep(shapes, ("naive", "gemm"), args.workers,
                                 repeats, max_iter)
+    print("BLAS thread budget:")
+    blas_row = _blas_budget(args.workers, max_iter)
     print("executor parity sweep:")
     parity_rows = _parity_sweep(args.workers, max_iter=10)
     print("worker-kill chaos sweep:")
@@ -314,6 +396,7 @@ def main(argv=None):
         "parity": parity_rows,
         "worker_kill": chaos_row,
         "fused": fused_rows,
+        "blas": blas_row,
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -325,6 +408,10 @@ def main(argv=None):
                if not r["identical_results"]]
         if bad:
             print(f"CHECK FAILED: engine/fused mismatch in {len(bad)} rows")
+            return 1
+        if not blas_row["budget_held"]:
+            print(f"CHECK FAILED: BLAS thread budget not held "
+                  f"({blas_row})")
             return 1
         if chaos_row["worker_kills"] < 100:
             print(f"CHECK FAILED: worker_kill sweep injected only "
@@ -352,8 +439,8 @@ def main(argv=None):
             print(f"CHECK FAILED: best process speedup {best_process:.2f}x "
                   f"< 2x with cpu_count={cpus}")
             return 1
-        print(f"check ok: all parity rows bit-identical; "
-              f"{chaos_row['worker_kills']} worker kills survived; best "
+        print(f"check ok: all parity rows bit-identical; BLAS budget "
+              f"held; {chaos_row['worker_kills']} worker kills survived; best "
               f"thread {best_thread:.2f}x, best process {best_process:.2f}x "
               f"on cpu_count={cpus}")
     return 0

@@ -14,7 +14,6 @@ the paper's stop rule ("until each c_j is fixed", tol = 0).
 from __future__ import annotations
 
 import inspect
-import warnings
 from abc import ABC, abstractmethod
 from typing import Any, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -25,8 +24,10 @@ from ..errors import (
     ConvergenceWarning,
     FaultError,
     NumericalFaultError,
+    warn_at_caller,
 )
 from ..machine.machine import DegradedMachine, Machine
+from ..runtime import blas
 from ..runtime.compute import ComputeModel
 from ..runtime.dma import DMAEngine
 from ..runtime.engine import EngineLike, resolve_engine
@@ -581,74 +582,80 @@ class LevelExecutor(ABC):
             self.checkpoints.save_initial(C)
 
         self.supervisor.start()
-        history = []
-        assignments = np.full(X.shape[0], -1, dtype=np.int64)
-        converged = False
-        it = start_iteration
-        shift = np.inf
-        for _ in range(start_iteration, max_iter):
-            it = self.ledger.next_iteration()
-            self.supervisor.begin_iteration(it)
-            t_before = self.ledger.total()
-            attempt = 0
-            while True:
-                try:
-                    if self.injector is not None:
-                        self.injector.begin_iteration(it)
-                    new_assignments, new_C = self.iterate(X, C)
-                    self._check_finite(new_C, it)
+        # A pooled engine splits the host's cores between its kernel
+        # runners.  The scope spans the whole loop, not each map: an idle
+        # OpenBLAS thread spins after every BLAS call between maps and runs
+        # into the next one.  k-means++ init, before the run, keeps every
+        # core.
+        with blas.limit(self.engine.blas_threads()):
+            history = []
+            assignments = np.full(X.shape[0], -1, dtype=np.int64)
+            converged = False
+            it = start_iteration
+            shift = np.inf
+            for _ in range(start_iteration, max_iter):
+                it = self.ledger.next_iteration()
+                self.supervisor.begin_iteration(it)
+                t_before = self.ledger.total()
+                attempt = 0
+                while True:
+                    try:
+                        if self.injector is not None:
+                            self.injector.begin_iteration(it)
+                        new_assignments, new_C = self.iterate(X, C)
+                        self._check_finite(new_C, it)
+                        break
+                    except FaultError as exc:
+                        attempt += 1
+                        # Partial charges from the failed attempt stay on
+                        # the ledger as wasted work, exactly as on the real
+                        # machine.
+                        C = self._handle_fault(exc, attempt, X, C)
+                    finally:
+                        self.supervisor.absorb(self.engine)
+                t_iter = self.ledger.total() - t_before
+
+                shift = max_centroid_shift(C, new_C)
+                history.append(IterationStats(
+                    iteration=it,
+                    inertia=self._iter_inertia,
+                    centroid_shift=shift,
+                    n_reassigned=int((new_assignments != assignments).sum()),
+                    modelled_seconds=t_iter,
+                ))
+                assignments = new_assignments
+                C = new_C
+                self.supervisor.end_iteration(it)
+                if shift <= tol:
+                    converged = True
                     break
-                except FaultError as exc:
-                    attempt += 1
-                    # Partial charges from the failed attempt stay on the
-                    # ledger as wasted work, exactly as on the real machine.
-                    C = self._handle_fault(exc, attempt, X, C)
-                finally:
-                    self.supervisor.absorb(self.engine)
-            t_iter = self.ledger.total() - t_before
+                self.checkpoints.maybe_save(it, C)
 
-            shift = max_centroid_shift(C, new_C)
-            history.append(IterationStats(
-                iteration=it,
-                inertia=self._iter_inertia,
-                centroid_shift=shift,
-                n_reassigned=int((new_assignments != assignments).sum()),
-                modelled_seconds=t_iter,
-            ))
-            assignments = new_assignments
-            C = new_C
-            self.supervisor.end_iteration(it)
-            if shift <= tol:
-                converged = True
-                break
-            self.checkpoints.maybe_save(it, C)
+            if not converged and history:
+                warn_at_caller(
+                    f"level {self.level} executor did not converge in "
+                    f"{max_iter} iterations (last centroid shift "
+                    f"{history[-1].centroid_shift:.3g} > tol {tol:g}); "
+                    f"consider raising max_iter",
+                    ConvergenceWarning,
+                )
 
-        if not converged and history:
-            warnings.warn(
-                f"level {self.level} executor did not converge in "
-                f"{max_iter} iterations (last centroid shift "
-                f"{history[-1].centroid_shift:.3g} > tol {tol:g}); "
-                f"consider raising max_iter",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-
-        # Final objective under the final C.  At an exact fixed point
-        # (shift == 0) the held labels *are* the nearest-centroid labels of
-        # the final C.  A max_iter or tol > 0 stop halts one Update past the
-        # last Assign, so the objective re-labels against the final C on the
-        # host (charging nothing); result.assignments stays the last-Assign
-        # labels.
-        if converged and shift == 0.0:
-            labels = assignments
-        else:
-            labels = self.kernel.assign(X, C, self.relabel_chunk_elements)
-        if (assignments < 0).any():
-            # A resume at start_iteration >= max_iter runs zero iterations;
-            # the fresh labels make the result usable.
-            assignments = labels
-        self.supervisor.absorb(self.engine)
-        final_inertia = inertia(X, C, labels)
+            # Final objective under the final C.  At an exact fixed point
+            # (shift == 0) the held labels *are* the nearest-centroid labels
+            # of the final C.  A max_iter or tol > 0 stop halts one Update
+            # past the last Assign, so the objective re-labels against the
+            # final C on the host (charging nothing); result.assignments
+            # stays the last-Assign labels.
+            if converged and shift == 0.0:
+                labels = assignments
+            else:
+                labels = self.kernel.assign(X, C, self.relabel_chunk_elements)
+            if (assignments < 0).any():
+                # A resume at start_iteration >= max_iter runs zero
+                # iterations; the fresh labels make the result usable.
+                assignments = labels
+            self.supervisor.absorb(self.engine)
+            final_inertia = inertia(X, C, labels)
         return KMeansResult(
             centroids=C,
             assignments=assignments,

@@ -23,14 +23,9 @@ from ..machine.machine import Machine
 from ..runtime.engine import EngineLike
 from ..runtime.reduce import ReduceLike
 from ..runtime.supervisor import SupervisorLike
-from ._common import (
-    DEFAULT_CHUNK_ELEMENTS,
-    chunk_ranges,
-    update_centroids,
-    validate_data,
-)
+from ._common import DEFAULT_CHUNK_ELEMENTS, chunk_ranges, validate_data
 from .executor_base import MACHINE_KEYWORDS, LevelExecutor
-from .kernels import KernelLike, resolve_kernel
+from .kernels import KernelLike
 from .result import KMeansResult
 
 
@@ -181,9 +176,12 @@ def lloyd_single_iteration(X: np.ndarray, centroids: np.ndarray,
     """One Assign+Update step; returns (assignments, new_centroids).
 
     Handy for comparing a parallel executor's single-iteration output
-    against the reference without running to convergence.
+    against the reference without running to convergence.  It is one
+    :class:`LloydExecutor` step — the blocks, merge and Update of
+    :func:`lloyd` — so it equals ``lloyd(X, centroids, max_iter=1,
+    ...)`` bitwise.
     """
     X, C = validate_data(X, centroids)
-    assignments, _, sums, counts = resolve_kernel(kernel).assign_accumulate(
-        X, C, chunk_elements)
-    return assignments, update_centroids(sums, counts, C)
+    executor = LloydExecutor(chunk_elements=chunk_elements, kernel=kernel)
+    executor.setup(X, C)
+    return executor.iterate(X, C)

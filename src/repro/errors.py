@@ -9,6 +9,14 @@ that no partition plan can place raises :class:`PartitionError`.
 
 from __future__ import annotations
 
+import os
+import sys
+import warnings
+from typing import Type
+
+#: Every module of the package lives under this directory.
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -54,6 +62,23 @@ class CommunicatorError(ReproError):
 
 class ConvergenceWarning(UserWarning):
     """k-means stopped on the iteration cap before centroids stabilised."""
+
+
+def warn_at_caller(message: str, category: Type[Warning]) -> None:
+    """Warn at the first stack frame outside the package: the user's call.
+
+    A fixed ``stacklevel`` would name a line inside the package, which a
+    module-scoped warnings filter in user code cannot target.
+    (``warnings.warn(skip_file_prefixes=...)`` does this from Python 3.12;
+    the package supports 3.10.)
+    """
+    frame = sys._getframe(1)
+    level = 2
+    while frame.f_back is not None \
+            and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame = frame.f_back
+        level += 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class DataShapeError(ReproError):

@@ -213,14 +213,25 @@ def resolve_task_policy(policy: Optional[TaskPolicy] = None) -> TaskPolicy:
     )
 
 
+def _cpu_count() -> int:
+    """The host's CPUs: the default pool width, and what BLAS budgets split."""
+    return os.cpu_count() or 1
+
+
 def _resolve_workers(workers: Optional[int]) -> int:
     """A pool width: ``None`` means one worker per CPU; below 1 is an error."""
     if workers is None:
-        return os.cpu_count() or 1
+        return _cpu_count()
     workers = int(workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     return workers
+
+
+def blas_share(workers: int) -> int:
+    """BLAS threads for each of ``workers`` concurrent kernel runners: an
+    even split of the host's CPUs, at least one."""
+    return max(1, _cpu_count() // workers)
 
 
 class _QuarantinedSlot(Exception):
@@ -292,6 +303,16 @@ class ExecutionEngine(ABC):
         engine delegates to :meth:`_map_tasks`, handing it the pool run
         its scheduling needs.
         """
+
+    def blas_threads(self) -> Optional[int]:
+        """BLAS threads the fitting process may use while this engine runs.
+
+        :meth:`~repro.core.executor_base.LevelExecutor.run` holds the
+        process at this budget (:func:`repro.runtime.blas.limit`) for the
+        iteration loop and the final re-label.  None — the serial and any
+        single-worker engine — leaves BLAS untouched.
+        """
+        return None
 
     @property
     def degraded(self) -> bool:
@@ -811,6 +832,11 @@ class ThreadEngine(ExecutionEngine):
 
     None of this changes results: every re-run executes the identical
     pure block function, and results return in submission order.
+
+    BLAS thread budget: the pool threads run the kernels in the fitting
+    process, which a run therefore holds at ``max(1, cpu_count //
+    workers)`` BLAS threads (:meth:`blas_threads`), so the pool threads
+    split the cores instead of each spawning a BLAS thread per CPU.
     """
 
     name = "thread"
@@ -824,6 +850,9 @@ class ThreadEngine(ExecutionEngine):
         self._slot_failures: Dict[int, int] = {}
         self._quarantined: set = set()
         self._hung = 0
+
+    def blas_threads(self) -> Optional[int]:
+        return blas_share(self.workers) if self.workers > 1 else None
 
     # -- pool-health bookkeeping --------------------------------------------
 

@@ -105,12 +105,14 @@ from dataclasses import replace as _dc_replace
 
 from ..analysis.envvars import ENV_HEARTBEAT, read_float
 from ..errors import ConfigurationError, FaultError
+from . import blas
 from .chaos import ChaosInjector, ChaosPlan
 from .engine import (
     ExecutionEngine,
     TaskPolicy,
     _resolve_workers,
     _SharedEntry,
+    blas_share,
 )
 from .integrity import seal_partial
 from .shm import SharedArena, make_heartbeats
@@ -139,7 +141,8 @@ _RESPAWN_BACKOFF_CAP = 6
 
 
 def _worker_main(slot: int, conn: Any, beats: np.ndarray,
-                 interval: float, unshare: Sequence[Any]) -> None:
+                 interval: float, unshare: Sequence[Any],
+                 blas_threads: int) -> None:
     """Worker-process loop: recv task, run it, send the result.
 
     Runs in a forked child.  ``beats`` is the parent's heartbeat view,
@@ -152,7 +155,11 @@ def _worker_main(slot: int, conn: Any, beats: np.ndarray,
     a worker holding (a copy of) the write end of its own pipe would never
     see EOF on ``recv()`` after a SIGKILL'd parent, and the whole pool
     would outlive the crash as orphans.
+
+    ``blas_threads`` is the worker's BLAS budget, set before the first
+    task whatever the parent's count was at the fork.
     """
+    blas.pin_worker(blas_threads)
     for other in unshare:
         try:
             other.close()
@@ -266,7 +273,8 @@ class _ProcessPool:
         ]
         process = self.ctx.Process(
             target=_worker_main,
-            args=(slot, child_conn, self.beats, HEARTBEAT_INTERVAL, unshare),
+            args=(slot, child_conn, self.beats, HEARTBEAT_INTERVAL, unshare,
+                  blas_share(self.width)),
             name=f"repro-worker-{slot}",
             daemon=True,
         )
@@ -378,6 +386,11 @@ class ProcessEngine(ExecutionEngine):
         Parent-side heartbeat timeout in real seconds; ``None`` consults
         ``REPRO_HEARTBEAT`` (default 30).  A worker holding a task whose
         heartbeat is older than this is presumed wedged and SIGKILL'd.
+
+    BLAS thread budget: the kernels run in the workers, so a run holds the
+    fitting process at one BLAS thread (:meth:`blas_threads`), and each
+    worker sets itself to ``max(1, cpu_count // workers)`` when it starts,
+    respawned workers included.
     """
 
     name = "process"
@@ -405,6 +418,9 @@ class ProcessEngine(ExecutionEngine):
         # perfectly healthy workers between stamps.
         self.heartbeat_s = max(float(heartbeat_s), 4 * HEARTBEAT_INTERVAL)
         self._arena = SharedArena(tag="engine")
+
+    def blas_threads(self) -> Optional[int]:
+        return 1 if self.workers > 1 else None
 
     # -- zero-copy operand publishing ----------------------------------------
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.init import init_centroids
+from repro.core.kmeans import HierarchicalKMeans
 from repro.core.level1 import Level1Executor, run_level1
 from repro.core.level2 import Level2Executor, run_level2
 from repro.core.level3 import Level3Executor, run_level3
@@ -28,6 +29,12 @@ def run_level0(X, C0, machine, **kwargs):
 
 RUNNERS = {0: run_level0, 1: run_level1, 2: run_level2, 3: run_level3}
 EXECUTORS = {1: Level1Executor, 2: Level2Executor, 3: Level3Executor}
+
+
+def _warned_from(record):
+    """The files the recorded convergence warnings are attributed to."""
+    return [w.filename for w in record
+            if issubclass(w.category, ConvergenceWarning)]
 
 
 @pytest.fixture(scope="module")
@@ -200,9 +207,22 @@ class TestEdgeCases:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_unconverged_run_warns(self, level, machine, workload):
         X, C0 = workload
-        with pytest.warns(ConvergenceWarning, match="did not converge"):
+        with pytest.warns(ConvergenceWarning,
+                          match="did not converge") as record:
             result = RUNNERS[level](X, C0, machine, max_iter=1)
         assert not result.converged
+        # The warning names the caller's line, not one inside the package.
+        assert _warned_from(record) == [__file__]
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_facade_warning_points_at_the_caller(self, level, machine,
+                                                 workload):
+        X, _ = workload
+        model = HierarchicalKMeans(7, machine=machine, level=level,
+                                   init="first", max_iter=1)
+        with pytest.warns(ConvergenceWarning) as record:
+            model.fit(X)
+        assert _warned_from(record) == [__file__]
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_converged_run_does_not_warn(self, level, machine, workload):

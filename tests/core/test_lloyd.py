@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core._common import assign_chunked, inertia
+from repro.core._common import DEFAULT_CHUNK_ELEMENTS, assign_chunked, inertia
 from repro.core.init import init_centroids
 from repro.core.lloyd import lloyd, lloyd_single_iteration
 from repro.data.synthetic import gaussian_blobs
@@ -129,13 +129,22 @@ class TestCorrectness:
 
 
 class TestSingleIteration:
-    def test_matches_full_run_first_step(self, blobs):
+    # 512 elements split the 500 rows into many blocks under every kernel,
+    # so the step must merge its per-block partials exactly as lloyd does.
+    @pytest.mark.parametrize("kernel", ["naive", "gemm", "pruned"])
+    @pytest.mark.parametrize("chunk_elements", [512, DEFAULT_CHUNK_ELEMENTS])
+    def test_matches_full_run_first_step(self, blobs, kernel,
+                                         chunk_elements):
         X, _ = blobs
         C0 = init_centroids(X, 5, method="first")
-        a, C1 = lloyd_single_iteration(X, C0)
-        result = lloyd(X, C0, max_iter=1)
+        a, C1 = lloyd_single_iteration(X, C0, chunk_elements=chunk_elements,
+                                       kernel=kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            result = lloyd(X, C0, max_iter=1, chunk_elements=chunk_elements,
+                           kernel=kernel)
         np.testing.assert_array_equal(a, result.assignments)
-        np.testing.assert_allclose(C1, result.centroids)
+        np.testing.assert_array_equal(C1, result.centroids)
 
 
 class TestValidation:
