@@ -12,7 +12,8 @@ Two ways to run it:
   [--out BENCH_kernels.json]`` — a standalone comparison sweep: naive vs
   gemm ``assign`` over a (k, d) grid at n = 100,000, an
   iterations-to-converge sweep of the bounds-pruned kernel against the
-  stateless gemm sweep on the flagship shape (per-iteration pruning rate
+  stateless gemm sweep on the flagship shape (per-iteration pruning rate,
+  share of candidates on the certified-ball pair path, pairs evaluated
   and speedup, every iteration checked bitwise against naive), plus full
   ledgered vs ``model_costs=False`` fits, written as JSON.  ``--check``
   exits non-zero if gemm is slower than naive on the flagship shape, any
@@ -159,6 +160,27 @@ def _timed_best(fn, repeats):
     return best, out
 
 
+class _BallCounter(PrunedKernel):
+    """The pruned kernel, counting the candidates and pairs of each path."""
+
+    pair_rows = pairs = wide_rows = 0
+
+    def reset(self):
+        self.pair_rows = self.pairs = self.wide_rows = 0
+
+    def _ball_block(self, block, rows, C, labels, d2, ub, eta, width,
+                    near, near_lb):
+        # The label's own distance is carried: width - 1 pairs a row.
+        self.pair_rows += rows.size
+        self.pairs += int(width.sum()) - rows.size
+        return super()._ball_block(block, rows, C, labels, d2, ub, eta,
+                                   width, near, near_lb)
+
+    def _label_block(self, block, C, ctx):
+        self.wide_rows += block.shape[0]
+        return super()._label_block(block, C, ctx)
+
+
 def _convergence_sweep(n, k, d, iters, repeats):
     """Iterations-to-converge comparison: pruned vs gemm, one trajectory.
 
@@ -169,13 +191,15 @@ def _convergence_sweep(n, k, d, iters, repeats):
     kernel's stateful step from the previous iteration's committed bounds.
     Early iterations prune nothing (bounds are loose while centroids move);
     the interesting number is the late-iteration speedup over gemm once
-    the run settles, which is what the ``--check`` gate asserts.
+    the run settles, which is what the ``--check`` gate asserts.  Each
+    bounded iteration also records the share of its candidates whose
+    certified ball took the pair path, and the pairs that path evaluated.
     """
     from repro.data.synthetic import gaussian_blobs
 
     X, _ = gaussian_blobs(n=n, k=k, d=d, seed=11)
     C = np.array(X[:k], copy=True)
-    gemm, naive, pruned = GemmKernel(), NaiveKernel(), PrunedKernel()
+    gemm, naive, pruned = GemmKernel(), NaiveKernel(), _BallCounter()
     labels = d2 = lb = anchor = None
     rows = []
     for it in range(1, iters + 1):
@@ -187,12 +211,19 @@ def _convergence_sweep(n, k, d, iters, repeats):
         if anchor is None:
             t_pruned, p_out = _timed_best(
                 lambda: pruned.establish(X, C), repeats)
+            pruned.reset()  # no candidates: establishment screens all
         else:
-            drift, s = certified_bounds(anchor, C)
-            t_pruned, p_out = _timed_best(
-                lambda: pruned.assign_accumulate_pruned(
-                    X, C, labels, d2, lb, drift, s), repeats)
+            table = certified_bounds(anchor, C)
+
+            def step():
+                pruned.reset()
+                return pruned.assign_accumulate_pruned(
+                    X, C, labels, d2, lb, *table)
+
+            t_pruned, p_out = _timed_best(step, repeats)
         p_labels, p_d2, p_sums, p_counts, p_lb, n_dist = p_out
+        candidates = pruned.pair_rows + pruned.wide_rows
+        ball_share = pruned.pair_rows / candidates if candidates else 0.0
         identical = (bool(np.array_equal(n_labels, p_labels))
                      and bool(np.array_equal(n_d2, p_d2))
                      and bool(np.array_equal(n_sums, p_sums))
@@ -206,11 +237,15 @@ def _convergence_sweep(n, k, d, iters, repeats):
             "speedup": t_gemm / t_pruned,
             "distance_evals": int(n_dist),
             "pruning_rate": pruning_rate,
+            "ball_share": ball_share,
+            "ball_pairs": int(pruned.pairs),
             "identical": identical,
         })
         print(f"  iter {it:3d}: gemm {t_gemm:8.4f}s  naive {t_naive:8.4f}s  "
               f"pruned {t_pruned:8.4f}s  {t_gemm / t_pruned:5.2f}x  "
               f"pruned {pruning_rate:6.1%} of evals  "
+              f"ball {ball_share:6.1%} of candidates, "
+              f"{pruned.pairs} pairs  "
               f"{'ok' if identical else 'MISMATCH'}")
         labels, d2, lb = p_labels, p_d2, p_lb
         anchor = np.array(C, copy=True)

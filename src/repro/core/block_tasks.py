@@ -148,18 +148,21 @@ class PrunedAssignTask:
     *full-length* shared operands — the task slices its own ``[lo, hi)``
     window, exactly like the samples — so the process engine ships one
     shared-memory segment per array instead of per-block pickles.  The
-    k-sized drift and separation vectors are small enough to travel
-    inline.  ``labels is None`` marks an establishment sweep (no valid
-    carried state: first iteration, post-restore, post-replan).
+    neighbour table (``near``/``near_lb``) is shared the same way, once
+    per iteration for every block; the k-sized drift and separation
+    vectors are small enough to travel inline.  ``labels is None`` marks
+    an establishment sweep (no valid carried state: first iteration,
+    post-restore, post-replan).
     """
 
-    __slots__ = ("x", "c", "labels", "d2", "lb", "drift", "s",
-                 "lo", "hi", "kernel", "chunk_elements")
+    __slots__ = ("x", "c", "labels", "d2", "lb", "drift", "s", "near",
+                 "near_lb", "lo", "hi", "kernel", "chunk_elements")
 
     def __init__(self, x: ArrayLike, c: ArrayLike,
                  labels: Optional[ArrayLike], d2: Optional[ArrayLike],
                  lb: Optional[ArrayLike], drift: Optional[np.ndarray],
-                 s: Optional[np.ndarray], lo: int, hi: int,
+                 s: Optional[np.ndarray], near: Optional[ArrayLike],
+                 near_lb: Optional[ArrayLike], lo: int, hi: int,
                  kernel: KernelLike,
                  chunk_elements: Optional[int] = None) -> None:
         self.x = x
@@ -169,6 +172,8 @@ class PrunedAssignTask:
         self.lb = lb
         self.drift = drift
         self.s = s
+        self.near = near
+        self.near_lb = near_lb
         self.lo = int(lo)
         self.hi = int(hi)
         self.kernel = kernel
@@ -202,7 +207,8 @@ def pruned_assign_block(task: PrunedAssignTask) -> PrunedPartial:
         lb_in = as_ndarray(task.lb)[task.lo:task.hi]
         idx, best, sums, counts, lb, n_dist = (
             backend.assign_accumulate_pruned(
-                block, C, labels, d2, lb_in, task.drift, task.s, **kwargs))
+                block, C, labels, d2, lb_in, task.drift, task.s,
+                as_ndarray(task.near), as_ndarray(task.near_lb), **kwargs))
     return PrunedPartial(sums, counts, task.lo, task.hi, idx, best,
                          lb=lb, n_dist=n_dist)
 
@@ -262,14 +268,17 @@ def map_assign(engine: "ExecutionEngine", kernel: KernelBackend,
     else:
         fn = pruned_assign_block
         # No carried state marks an establishment sweep.
-        carried: Tuple[Any, ...] = (None,) * 5
+        carried: Tuple[Any, ...] = (None,) * 7
         if bounds.valid:
-            # The three full-length bound arrays travel like X; the
-            # k-sized drift and half-separations ride inline.
-            drift, s = certified_bounds(bounds.anchor, C)
+            # The three full-length bound arrays and the neighbour table,
+            # built here once for every block, travel like X; the k-sized
+            # drift and half-separations ride inline.
+            drift, s, near, near_lb = certified_bounds(bounds.anchor, C)
             carried = (engine.share("pruned_labels", bounds.labels),
                        engine.share("pruned_d2", bounds.d2),
-                       engine.share("pruned_lb", bounds.lb), drift, s)
+                       engine.share("pruned_lb", bounds.lb), drift, s,
+                       engine.share("pruned_near", near),
+                       engine.share("pruned_near_lb", near_lb))
         tasks = [PrunedAssignTask(x_ref, c_ref, *carried, lo, hi, token,
                                   chunk_elements)
                  for lo, hi in blocks]

@@ -10,7 +10,10 @@ two facts:
   those distances stay valid when drifted by the movement;
 * a point whose distance to its assigned centroid is below half the
   distance to the nearest *other* centroid (``s[j]``) provably cannot
-  change assignment [Elkan 2003, Lemma 1].
+  change assignment [Elkan 2003, Lemma 1]; more generally, a centroid
+  more than twice that distance from the assigned one cannot take the
+  point, which leaves only a ball of centroids around the assigned one
+  to evaluate (the annulus filter of Newling and Fleuret, ICML 2016).
 
 The drift and separation vectors used to be computed in three nearly
 identical copies across the baselines; this module is now the single
@@ -18,8 +21,9 @@ implementation, and the bound-drifting rules of each algorithm family are
 named helpers so their (deliberately different) semantics stay visible at
 the call sites.  The baselines use :func:`centroid_drift` and
 :func:`centroid_separation` as computed; the pruned kernel, which must
-keep the naive kernel's bits, takes both vectors from
-:func:`certified_bounds`, which rounds each toward safety.
+keep the naive kernel's bits, takes both vectors, and the sorted
+neighbour table its balls are cut from, from :func:`certified_bounds`,
+which rounds each toward safety.
 
 :class:`BlockBounds` is the persistent state carrier of the pruned kernel
 path: the per-sample labels, direct-form squared distances, and lower
@@ -43,6 +47,7 @@ __all__ = [
     "apply_elkan_drift",
     "apply_hamerly_drift",
     "apply_yinyang_drift",
+    "ball_limit",
     "centroid_drift",
     "centroid_separation",
     "certified_bounds",
@@ -88,15 +93,33 @@ def centroid_separation(C: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return cc, 0.5 * cc.min(axis=1)
 
 
+def ball_limit(k: int) -> int:
+    """Widest certified ball, in centroids, the pruned kernel evaluates pair
+    by pair; a wider ball runs naive's k-wide screen.
+
+    The pair path gathers one d-vector per (row, centroid) pair while the
+    screen shares one GEMM per chunk, so wide balls are cheaper on the
+    screen.  ``max(2, k // 32)`` follows the measured crossover: 2 at k=64,
+    d=32 and 8 at k=256, d=64.
+    """
+    return max(2, k // 32)
+
+
 def certified_bounds(anchor: np.ndarray, C: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(drift, s)`` for the pruned sweep, both rounded toward safety.
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+    """``(drift, s, near, near_lb)`` for the pruned sweep, rounded toward safety.
 
     ``drift[j]`` is an upper bound on the movement ``|C[j] - anchor[j]|``
     and is > 0 exactly where ``C[j]`` differs from ``anchor[j]``, so a
     movement whose square underflows still counts as one.  ``s[j]`` is a
     lower bound on half the distance from ``C[j]`` to its nearest other
-    centroid (0 when k = 1).  With ``u``, ``s_min`` and ``gamma_m`` as in
+    centroid (0 when k = 1).  ``near`` and ``near_lb`` are the sorted
+    neighbour table: row ``i`` lists the ``T + 1`` centroids nearest to
+    ``C[i]`` by certified bound, ``T = ball_limit(k)``, itself first with
+    bound 0, and ``near_lb[i, r] <= |C[i] - C[near[i, r]]|`` ascends
+    along the row.  Ranks past k are padding: index k, bound
+    +inf.  With ``u``, ``s_min`` and ``gamma_m`` as in
     :class:`~repro.core.kernels.NaiveKernel`:
 
     * *Drift.*  Each ``f_i = fl(C_i - anchor_i)`` is within a factor
@@ -107,14 +130,19 @@ def certified_bounds(anchor: np.ndarray, C: np.ndarray
       squares ``S``, and ``fl(sqrt(fl(S + d s_min))) (1 + gamma_{d+4})``
       exceeds its root once the add, the root and the product have
       rounded.
-    * *Separation.*  Row j of the k x k GEMM ``C C^T`` gives the screen's
-      partial form for ``x = c_j``: ``G_i = |c_i|^2 - 2 c_j.c_i``.  With
-      the diagonal masked, ``min_i G_i + |c_j|^2 - (rel M_j + tiny)``,
-      ``M_j = (|c_j| + max|c|)^2``, is at most every ``|c_i - c_j|^2``:
-      the pruned kernel's runner-up bound for a certified row (see
-      :class:`~repro.core.kernels.PrunedKernel`).  ``s`` halves its root
-      rounded down, then rounds down again, as halving a subnormal can
-      round up.
+    * *Table.*  Row i of the k x k GEMM ``C C^T`` gives the screen's
+      partial form for ``x = c_i``: ``G_j = |c_j|^2 - 2 c_i.c_j``.  Each
+      ``fl(fl(G_j + |c_i|^2) - (rel M_i + tiny))``, ``M_i = (|c_i| +
+      max|c|)^2``, is at most ``|c_i - c_j|^2``: the pruned kernel's
+      runner-up bound for a certified row (see
+      :class:`~repro.core.kernels.PrunedKernel`), and ``near_lb`` is its
+      root rounded down.  The diagonal sorts first, and an overflowed
+      entry, which bounds nothing, right after it; both have bound 0.
+      Only the first ``T + 1`` ranks are sorted.
+    * *Separation.*  ``s`` halves rank 1's bound, then rounds down again,
+      as halving a subnormal can round up.  Rounding is monotone, so this
+      is bitwise the bound of the row's smallest ``G_j`` formed once,
+      unless an entry of the row overflowed; then ``s`` is 0.
     """
     k, d = C.shape
     info = np.finfo(C.dtype)
@@ -125,20 +153,38 @@ def certified_bounds(anchor: np.ndarray, C: np.ndarray
                         + d * float(info.smallest_subnormal))
         drift *= 1.0 + _gamma(d + 4, u)
     drift[np.all(C == anchor, axis=1)] = 0.0
+    ranks = ball_limit(k) + 1
+    near = np.full((k, ranks), k, dtype=np.intp)
+    near_lb = np.full((k, ranks), np.inf)
     if k <= 1:
-        return drift, np.zeros(1)
+        near[:, 0] = 0
+        near_lb[:, 0] = 0.0
+        return drift, np.zeros(1), near, near_lb
     rel, tiny = screen_margin(d, C.dtype)
-    # Overflowed entries become NaN or inf bounds, which sqrt_down zeroes.
     with np.errstate(over="ignore", invalid="ignore"):
         c_sq = np.einsum("kd,kd->k", C, C)
         g = C @ C.T
         g *= -2.0
         g += c_sq[None, :]
-        np.fill_diagonal(g, np.inf)
+        g += c_sq[:, None]
         m = np.sqrt(c_sq) + np.sqrt(c_sq.max())
         m *= m
-        lb = sqrt_down(g.min(axis=1) + c_sq - (rel * m + tiny))
-    return drift, np.nextafter(0.5 * lb, 0.0)
+        g -= (rel * m + tiny)[:, None]
+    # An overflowed entry bounds nothing: it sorts right after the
+    # diagonal, which sorts first.  Both have bound 0.
+    g[~np.isfinite(g)] = -np.finfo(C.dtype).max
+    np.fill_diagonal(g, -np.inf)
+    # Rank 1 feeds s even where the table keeps rank 0 alone.
+    last = min(max(ranks, 2), k) - 1
+    idx = np.argpartition(g, last, axis=1)[:, :last + 1]
+    sq = np.take_along_axis(g, idx, axis=1)
+    order = np.argsort(sq, axis=1, kind="stable")
+    idx = np.take_along_axis(idx, order, axis=1)
+    bound = sqrt_down(np.take_along_axis(sq, order, axis=1))
+    kept = min(ranks, last + 1)
+    near[:, :kept] = idx[:, :kept]
+    near_lb[:, :kept] = bound[:, :kept]
+    return drift, np.nextafter(0.5 * bound[:, 1], 0.0), near, near_lb
 
 
 def apply_hamerly_drift(ub: np.ndarray, lb: np.ndarray, drift: np.ndarray,

@@ -28,10 +28,13 @@ Every executor funnels its nearest-centroid arithmetic through a
     across iterations (:class:`~repro.core.bounds.BlockBounds`): a point
     whose assigned distance is provably below both the half-separation of
     its centroid and the drifted lower bound to the runner-up skips the
-    k-wide sweep, and only the surviving candidates run naive's certified
-    screen.  The bounds carry rounding margins, so a skipped point
-    provably keeps naive's label and distance: centroids, labels and
-    inertia are bit-identical to ``naive``, on near ties too.
+    k-wide sweep.  A surviving candidate evaluates only its certified
+    ball, the centroids whose certified distance to its label's centroid
+    is at most twice its upper bound; a ball wider than a few centroids
+    runs naive's certified screen instead.  The bounds carry rounding
+    margins, so every point provably keeps naive's label and distance:
+    centroids, labels and inertia are bit-identical to ``naive``, on near
+    ties too.
 
 Backends are selected with ``HierarchicalKMeans(..., kernel="gemm")`` (or
 per-executor via ``Level3Executor(machine, kernel="gemm")``), with the
@@ -61,6 +64,11 @@ from ._common import (
 
 #: Names accepted by :func:`resolve_kernel`.
 KERNELS = ("naive", "gemm", "pruned")
+
+#: Bytes of one (pairs, d) direct-form temporary on the pruned kernel's
+#: ball path.  Slices this small stay in cache: 10,400 pairs at d=68 took
+#: 2.0 ms in 512-pair slices and 5.6 ms in one.
+PAIR_BLOCK_BYTES = 1 << 18
 
 #: Environment variable consulted when no explicit ``kernel=`` is given.
 KERNEL_ENV = ENV_KERNEL.name
@@ -524,9 +532,10 @@ class PrunedKernel(NaiveKernel):
         The bounded iteration.  Per chunk: refresh the assigned distance
         where the assigned centroid changed (``drift > 0``; an unchanged
         centroid is bitwise the same, so the stored direct-form value
-        still holds), drift ``lb`` by the worst centroid movement, and run
-        the screen only for candidates that fail Hamerly's test
-        ``ub < max(s[a], lb)``.
+        still holds), drift ``lb`` by the worst centroid movement, and
+        evaluate only the candidates that fail Hamerly's test
+        ``ub < max(s[a], lb)``: each against the centroids of its
+        certified ball, or with naive's screen where the ball is wide.
 
     Both return the actual number of point-centroid distance evaluations
     (``n_dist``) so the executors can charge the ledger for work done,
@@ -574,9 +583,35 @@ class PrunedKernel(NaiveKernel):
       direct-form argmin, naive's label whatever the tie rule, and the
       stored ``D_a`` is naive's distance.  A NaN anywhere fails the
       comparison, so the row stays a candidate.
+    * *The ball.*  :func:`~repro.core.bounds.certified_bounds` lists, per
+      centroid ``a``, the centroids nearest to it in ascending order of a
+      certified bound ``L[a, j] <= |c_a - c_j|`` (the runner-up bound
+      above at ``x = c_a``), ``a`` itself first with ``L[a, a] = 0``.  Any
+      ``j`` with ``L[a, j] > 2 ub`` has
+      ``|x - c_j| >= L[a, j] - |x - c_a| > ub``, so ``D_j > D_a`` as in
+      the skip.  The ball ``{j : L[a, j] <= 2 ub}``, a prefix of the
+      list, therefore holds naive's winner and all of its exact ties: the
+      lexicographic minimum of ``(D_j, j)`` over it is naive's label and
+      distance, with no winner certificate, near ties included.  Each
+      member's ``D_j`` is :func:`_winner_sq`'s einsum, bitwise naive's
+      (b, k) entry; the label's is the stored ``D_a``.
+    * *The ball's lower bound.*  For the new label ``w``,
+      ``lb = min(sqrt_down(D_(2) - eta), nextafter(L[a, r] - ub, -inf))``.
+      ``D_(2)``, the smallest ``D_j`` over the other members, bounds them
+      as on a direct-form row (+inf when the ball held only the label).
+      ``r`` is the first rank outside the ball, and ``L[a, r] - ub``
+      bounds every centroid outside it by the triangle inequality (+inf
+      when the ball is all of k).  On this path ``ub`` is finite: an
+      infinite one puts every rank in the ball, which is then wide.
+    * *Selection.*  The list holds the first ``T + 1`` ranks,
+      ``T = ball_limit(k) = max(2, k // 32)``.  A ball of at most T
+      centroids takes the pair path: all (row, member) pairs of a chunk
+      run as one gathered direct-form pass.  A wider one, decided from
+      those T + 1 ranks, runs :meth:`NaiveKernel._settle`, whose one GEMM
+      per chunk is cheaper for wide balls.
 
-    Candidates run :meth:`NaiveKernel._settle`, so every label and
-    distance is naive's: results are bit-identical to ``naive``.
+    Either way every label and distance is naive's: results are
+    bit-identical to ``naive``.
     """
 
     name = "pruned"
@@ -619,19 +654,61 @@ class PrunedKernel(NaiveKernel):
         sums, counts = accumulate(X, labels, k)
         return labels, best, sums, counts, lb, n * k
 
+    def _ball_block(self, block: np.ndarray, rows: np.ndarray,
+                    C: np.ndarray, labels: np.ndarray, d2: np.ndarray,
+                    ub: np.ndarray, eta: np.ndarray, width: np.ndarray,
+                    near: np.ndarray, near_lb: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Naive's label and distance for ``block[rows]`` from each row's
+        certified ball alone, plus its new lower bound.
+
+        Row ``i``'s ball is the first ``width[i]`` ranks of its label's
+        table row, rank 0 being the label.  The label's ``D`` is the
+        carried ``d2[i]``; every other member's is evaluated in one
+        gathered direct-form pass over all (rank, row) pairs, in slices of
+        :data:`PAIR_BLOCK_BYTES`.
+        """
+        k = C.shape[0]
+        member = near.T[:, labels]                       # (rank, row)
+        dist = np.full(member.shape, np.inf, dtype=block.dtype)
+        dist[0] = d2
+        other = np.arange(near.shape[1])[:, None] < width
+        other[0] = False
+        todo = np.flatnonzero(other)
+        pair_rows = rows[todo % rows.shape[0]]
+        pair_member = member.reshape(-1)[todo]
+        flat = dist.reshape(-1)
+        step = max(1, PAIR_BLOCK_BYTES // (block.shape[1] * block.itemsize))
+        for lo, hi in chunk_ranges(todo.shape[0], step):
+            diff = block[pair_rows[lo:hi]]
+            diff -= C[pair_member[lo:hi]]
+            flat[todo[lo:hi]] = np.einsum("bd,bd->b", diff, diff)
+        # The lexicographic minimum of (D_j, j), then the runner-up D.
+        best = dist.min(axis=0)
+        win = np.where(dist == best, member, k).min(axis=0)
+        runner = np.where(member == win, np.inf, dist).min(axis=0)
+        edge = near_lb[labels, width]
+        with np.errstate(over="ignore", invalid="ignore"):
+            inner = sqrt_down(runner - eta)
+            inner[width == 1] = np.inf
+            outer = np.where(np.isinf(edge), np.inf,
+                             np.nextafter(edge - ub, -np.inf))
+        return win, best, np.minimum(inner, outer)
+
     def assign_accumulate_pruned(self, X: np.ndarray, C: np.ndarray,
                                  labels_in: np.ndarray, d2_in: np.ndarray,
                                  lb_in: np.ndarray, drift: np.ndarray,
-                                 s: np.ndarray,
+                                 s: np.ndarray, near: np.ndarray,
+                                 near_lb: np.ndarray,
                                  chunk_elements: int = DEFAULT_CHUNK_ELEMENTS
                                  ) -> PrunedSweep:
         """One bounded sweep over a block with carried state.
 
-        ``drift`` and ``s`` must be certified bounds
-        (:func:`~repro.core.bounds.certified_bounds`).  Pure with respect
-        to its inputs: the carried arrays are read only, fresh outputs are
-        returned — an engine-level task retry re-runs from unpoisoned
-        state.
+        ``drift``, ``s`` and the neighbour table ``near``/``near_lb`` must
+        be certified bounds (:func:`~repro.core.bounds.certified_bounds`).
+        Pure with respect to its inputs: the carried arrays are read only,
+        fresh outputs are returned — an engine-level task retry re-runs
+        from unpoisoned state.
         """
         X, C = validate_data(X, C)
         rows, ctx = self._context(X, C, chunk_elements)
@@ -644,12 +721,14 @@ class PrunedKernel(NaiveKernel):
             lb = np.array(lb_in, copy=True)
         moved = drift > 0.0
         grow = 1.0 + 2.0 * float(np.finfo(X.dtype).eps)  # 1 + 4u
+        widest = near.shape[1] - 1
 
         n_dist = 0
         for lo, hi in chunk_ranges(n, rows):
             block = X[lo:hi]
             chunk_labels = labels[lo:hi]
             chunk_d2 = d2[lo:hi]
+            chunk_lb = lb[lo:hi]
             stale = np.flatnonzero(moved[chunk_labels])
             if stale.size:
                 chunk_d2[stale] = _winner_sq(block[stale], C,
@@ -657,14 +736,30 @@ class PrunedKernel(NaiveKernel):
                 n_dist += int(stale.size)
             with np.errstate(over="ignore", invalid="ignore"):
                 _, m = _row_bound(block, ctx.c_norm)
-                ub = np.sqrt(chunk_d2 + (ctx.rel * m + ctx.tiny))
+                eta = ctx.rel * m + ctx.tiny
+                ub = np.sqrt(chunk_d2 + eta)
                 ub *= grow
-                skip = ub < np.maximum(s[chunk_labels], lb[lo:hi])
-            cand = np.flatnonzero(~skip)
-            if cand.size:
-                chunk_labels[cand], chunk_d2[cand], lb[lo:hi][cand] = \
-                    self._label_block(block[cand], C, ctx)
-                n_dist += int(cand.size) * k
+                skip = ub < np.maximum(s[chunk_labels], chunk_lb)
+                cand = np.flatnonzero(~skip)
+                # The ball: the label's ranks within 2 ub, a sorted prefix.
+                width = np.count_nonzero(
+                    near_lb[chunk_labels[cand]] <= 2.0 * ub[cand, None],
+                    axis=1)
+            narrow = width <= widest
+            wide = cand[~narrow]
+            if wide.size:
+                chunk_labels[wide], chunk_d2[wide], chunk_lb[wide] = \
+                    self._label_block(block[wide], C, ctx)
+                n_dist += int(wide.size) * k
+            pair = cand[narrow]
+            if pair.size:
+                width = width[narrow]
+                chunk_labels[pair], chunk_d2[pair], chunk_lb[pair] = \
+                    self._ball_block(block, pair, C, chunk_labels[pair],
+                                     chunk_d2[pair], ub[pair], eta[pair],
+                                     width, near, near_lb)
+                # The label's own distance is carried, not evaluated.
+                n_dist += int(width.sum()) - int(pair.size)
         sums, counts = accumulate(X, labels, k)
         return labels, d2, sums, counts, lb, n_dist
 

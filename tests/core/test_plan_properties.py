@@ -11,7 +11,7 @@ executors; these properties assert, for arbitrary feasible configurations:
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import (
@@ -108,26 +108,44 @@ def test_level3_plan_invariants(machine, problem, streaming, aware):
     stage_level3(plan, machine)
 
 
+#: Level 2 plans at mgroup 15 on a machine with one CG; Level 3 cannot
+#: (ceil(49/16) * 115 + 57 = 517 > 512 LDM elements at m'group 1).
+_ONE_CG = toy_machine(n_nodes=1, cgs_per_node=1, mesh=4, ldm_bytes=4096)
+
+
 @given(machine=machines, problem=problems)
+@example(machine=_ONE_CG, problem=(57, 57, 49))
 @settings(max_examples=40, deadline=None)
 def test_level_escalation_is_consistent(machine, problem):
-    """If a lower level plans, so does every higher one (resident mode)."""
+    """If Level 1 plans, so does Level 2; if Level 2 plans at mgroup g on
+    a machine with at least g CGs, Level 3 plans with m'group <= g
+    (resident mode).
+
+    Level 2 fits at g when ``d (1 + 2 ceil(k/g)) + ceil(k/g)`` elements fit
+    one LDM; Level 3 at m'group g needs the same with ``ceil(d/cpes) <= d``
+    in place of d.  With fewer than g CGs Level 3 cannot form the group.
+    """
     n, k, d = problem
     assume(k <= n)
 
-    def feasible(planner):
+    def plan(planner):
         try:
-            planner(machine, n, k, d)
-            return True
+            return planner(machine, n, k, d)
         except PartitionError:
-            return False
+            return None
 
-    l1, l2, l3 = (feasible(p) for p in (plan_level1, plan_level2,
-                                        plan_level3))
-    if l1:
-        assert l2
-    if l2:
-        assert l3
+    l1, l2, l3 = (plan(p) for p in (plan_level1, plan_level2, plan_level3))
+    if l1 is not None:
+        assert l2 is not None
+    if l2 is not None and l2.mgroup <= machine.n_cgs:
+        assert l3 is not None
+        assert l3.mprime_group <= l2.mgroup
+
+
+def test_level2_mgroup_beyond_the_cgs_need_not_escalate():
+    assert plan_level2(_ONE_CG, 57, 57, 49).mgroup == 15
+    with pytest.raises(PartitionError):
+        plan_level3(_ONE_CG, 57, 57, 49)
 
 
 @given(machine=machines, problem=problems)

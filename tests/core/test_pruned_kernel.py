@@ -16,7 +16,8 @@ import sys
 import time
 import warnings
 from fractions import Fraction
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from repro.core.kernels import (
     NaiveKernel,
     PrunedKernel,
     resolve_kernel,
+    screen_margin,
+    sqrt_down,
 )
 from repro.core.kmeans import HierarchicalKMeans
 from repro.core.level1 import Level1Executor
@@ -68,6 +71,31 @@ def workload():
     X, _ = gaussian_blobs(n=1200, k=8, d=10, seed=5)
     C0 = np.array(X[:8], copy=True)
     return X, C0
+
+
+#: ``bounds.ball_limit`` overrides: every ball on the pair path, or none.
+BALL_LIMITS: Dict[str, Callable[[int], int]] = {
+    "every": lambda k: k,
+    "none": lambda k: 0,
+}
+
+
+class _CountingPruned(PrunedKernel):
+    """The pruned kernel, counting the rows and pairs each path runs."""
+
+    pairs = pair_rows = wide_rows = 0
+
+    def _ball_block(self, block, rows, C, labels, d2, ub, eta, width,
+                    near, near_lb):
+        # The label's own distance is carried: width - 1 pairs a row.
+        self.pair_rows += rows.size
+        self.pairs += int(width.sum()) - rows.size
+        return super()._ball_block(block, rows, C, labels, d2, ub, eta,
+                                   width, near, near_lb)
+
+    def _label_block(self, block, C, ctx):
+        self.wide_rows += block.shape[0]
+        return super()._label_block(block, C, ctx)
 
 
 def _assert_same_result(a, b):
@@ -136,10 +164,9 @@ class TestKernelPrimitives:
         C = update_centroids(sums, counts, C)
         for _ in range(12):
             n_labels, n_d2, n_sums, n_counts = naive.assign_accumulate(X, C)
-            drift, s = certified_bounds(anchor, C)
             labels, d2, sums, counts, lb, n_dist = \
-                pruned.assign_accumulate_pruned(X, C, labels, d2, lb,
-                                                drift, s)
+                pruned.assign_accumulate_pruned(
+                    X, C, labels, d2, lb, *certified_bounds(anchor, C))
             np.testing.assert_array_equal(n_labels, labels)
             np.testing.assert_array_equal(n_d2, d2)
             np.testing.assert_array_equal(n_sums, sums)
@@ -157,8 +184,8 @@ class TestKernelPrimitives:
         labels, d2, sums, counts, lb, n_dist = pruned.establish(X, C)
         assert np.all(labels == 0)
         assert np.all(np.isinf(lb))  # no runner-up exists
-        drift, s = certified_bounds(C, C)
-        out = pruned.assign_accumulate_pruned(X, C, labels, d2, lb, drift, s)
+        out = pruned.assign_accumulate_pruned(X, C, labels, d2, lb,
+                                              *certified_bounds(C, C))
         np.testing.assert_array_equal(out[0], labels)
         np.testing.assert_array_equal(out[1], d2)
         assert np.all(np.isinf(out[4]))
@@ -172,9 +199,10 @@ class TestKernelPrimitives:
         labels, d2, _, _, lb, _ = pruned.establish(X, C)
         anchor = np.array(C, copy=True)
         C[0] = np.nextafter(C[0], np.inf)
-        drift, s = certified_bounds(anchor, C)
+        table = certified_bounds(anchor, C)
+        drift = table[0]
         assert drift[0] > 0.0 and np.all(drift[1:] == 0.0)
-        out = pruned.assign_accumulate_pruned(X, C, labels, d2, lb, drift, s)
+        out = pruned.assign_accumulate_pruned(X, C, labels, d2, lb, *table)
         ref_labels, ref_d2 = NaiveKernel().assign_with_distances(X, C)
         np.testing.assert_array_equal(out[0], ref_labels)
         np.testing.assert_array_equal(out[1].view(np.uint64),
@@ -185,18 +213,28 @@ class TestKernelPrimitives:
     def test_bounds_hold_in_exact_arithmetic(
             self, case: Tuple[np.ndarray, np.ndarray], seed: int) -> None:
         # Every certified bound, checked against rational arithmetic:
-        # lb below each non-label distance (established, then carried
-        # across one move), 2 s below each separation, and drift above
-        # each movement.
+        # lb below each non-label distance (established, carried across
+        # one move, and after a sweep that put every row on the ball
+        # path), each neighbour-table entry below its separation, 2 s
+        # below each separation, and drift above each movement.
         X, C = case
         X, C = X[:12], C[:6]
         pruned = PrunedKernel()
         labels, d2, _, _, lb, _ = pruned.establish(X, C)
         moved = C + np.random.default_rng(seed).normal(
             scale=1e-12, size=C.shape) * np.abs(C)
-        drift, s = certified_bounds(C, moved)
+        drift, s, near, near_lb = certified_bounds(C, moved)
         carried = pruned.assign_accumulate_pruned(X, moved, labels, d2, lb,
-                                                  drift, s)
+                                                  drift, s, near, near_lb)
+        # Zero bounds make every row a candidate, and a ball limit of k
+        # puts every candidate on the pair path.
+        with mock.patch.object(bounds, "ball_limit", BALL_LIMITS["every"]):
+            _, _, all_near, all_lb = certified_bounds(C, moved)
+        balled = pruned.assign_accumulate_pruned(
+            X, moved, labels, d2, np.zeros_like(lb), drift,
+            np.zeros_like(s), all_near, all_lb)
+        np.testing.assert_array_equal(balled[0],
+                                      NaiveKernel().assign(X, moved))
 
         def exact_sq(a: np.ndarray, b: np.ndarray) -> Fraction:
             return sum(((Fraction(p) - Fraction(q)) ** 2
@@ -212,6 +250,17 @@ class TestKernelPrimitives:
                     assert below(lb[i], exact_sq(x, C[j]))
                 if j != carried[0][i]:
                     assert below(carried[4][i], exact_sq(x, moved[j]))
+                if j != balled[0][i]:
+                    assert below(balled[4][i], exact_sq(x, moved[j]))
+        for idx, sep in ((near, near_lb), (all_near, all_lb)):
+            assert np.all(sep[:, 1:] >= sep[:, :-1])
+            for i in range(k):
+                assert idx[i, 0] == i and sep[i, 0] == 0.0
+                for j, bound in zip(idx[i], sep[i]):
+                    if j == k:  # padding past the k centroids
+                        assert bound == np.inf
+                    else:
+                        assert below(bound, exact_sq(moved[i], moved[j]))
         for j in range(k):
             assert Fraction(drift[j]) ** 2 >= exact_sq(moved[j], C[j])
             assert (drift[j] > 0.0) == bool(np.any(moved[j] != C[j]))
@@ -219,6 +268,60 @@ class TestKernelPrimitives:
                 if i != j:
                     assert (2 * Fraction(s[j])) ** 2 \
                         <= exact_sq(moved[i], moved[j])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scale", [1e-160, 1e-3, 1.0, 1e150])
+    def test_separation_from_the_table_is_the_row_minimum(
+            self, scale: float, seed: int) -> None:
+        # s comes from the table's rank-1 column; it must be bitwise the
+        # bound of each row's smallest partial form, formed once, as the
+        # separation was before the table existed.
+        rng = np.random.default_rng(seed)
+        k, d = 3 + 9 * seed, 1 + 5 * seed
+        C = rng.normal(size=(k, d)) * scale
+        C[k - 1] = C[0]  # a duplicate separates by exactly 0
+        _, s, _, _ = certified_bounds(C, C)
+        rel, tiny = screen_margin(d, C.dtype)
+        c_sq = np.einsum("kd,kd->k", C, C)
+        g = C @ C.T
+        g *= -2.0
+        g += c_sq[None, :]
+        np.fill_diagonal(g, np.inf)
+        m = np.sqrt(c_sq) + np.sqrt(c_sq.max())
+        m *= m
+        ref = np.nextafter(
+            0.5 * sqrt_down(g.min(axis=1) + c_sq - (rel * m + tiny)), 0.0)
+        np.testing.assert_array_equal(s.view(np.uint64), ref.view(np.uint64))
+        assert s[0] == 0.0 and s[k - 1] == 0.0
+
+    def test_sweep_takes_both_paths_bit_identically(self) -> None:
+        # Two separated blobs with a few centroids each give narrow balls;
+        # a pile of near-duplicate centroids inside the first blob gives
+        # balls wider than the limit.  The sweep must run both paths,
+        # equal naive bitwise, and count exactly the pairs, the refreshes
+        # and the k-wide screens it ran.
+        rng = np.random.default_rng(4)
+        X = np.vstack([rng.normal(size=(400, 8)),
+                       rng.normal(size=(400, 8)) + 50.0])
+        pile = X[0] + 1e-3 * rng.normal(size=(56, 8))
+        C = np.vstack([pile, X[400:408]])
+        k = C.shape[0]
+        assert bounds.ball_limit(k) == 2
+        pruned = _CountingPruned()
+        labels, d2, sums, counts, lb, _ = pruned.establish(X, C)
+        for _ in range(3):
+            anchor, C = C, update_centroids(sums, counts, C)
+            drift, s, near, near_lb = certified_bounds(anchor, C)
+            stale = int(np.count_nonzero(drift[labels] > 0.0))
+            pruned.pairs = pruned.pair_rows = pruned.wide_rows = 0
+            labels, d2, sums, counts, lb, n_dist = \
+                pruned.assign_accumulate_pruned(X, C, labels, d2, lb, drift,
+                                                s, near, near_lb)
+            ref = NaiveKernel().assign_accumulate(X, C)
+            for got, want in zip((labels, d2, sums, counts), ref):
+                np.testing.assert_array_equal(got, want)
+            assert pruned.pair_rows > 0 and pruned.wide_rows > 0
+            assert n_dist == stale + pruned.pairs + pruned.wide_rows * k
 
     @pytest.mark.parametrize("block_bytes", [None, 1])
     @pytest.mark.parametrize("d", [1, 68])
@@ -502,31 +605,62 @@ def _assert_same_outcome(run) -> None:
         _assert_same_result(ref, out)
 
 
+def _lloyd_outcome(case: Tuple[np.ndarray, np.ndarray],
+                   chunk: Optional[int]) -> None:
+    X, C0 = case
+    kwargs = {} if chunk is None else {
+        "chunk_elements": chunk * C0.shape[0] * C0.shape[1]}
+    _assert_same_outcome(lambda kernel: lloyd(
+        X, C0, max_iter=8, kernel=kernel, **kwargs))
+
+
+def _level_outcome(machine: Machine, case: Tuple[np.ndarray, np.ndarray],
+                   level: int) -> None:
+    # Executors take at most n centroids.
+    X, C0 = case
+    C0 = C0[:X.shape[0]]
+    executor = {1: Level1Executor, 2: Level2Executor,
+                3: Level3Executor}[level]
+    _assert_same_outcome(lambda kernel: executor(
+        machine, kernel=kernel, engine="thread", workers=2,
+        model_costs=False).run(X, C0, max_iter=6))
+
+
 class TestHypothesisInvariance:
     @given(case=_CASES, chunk=st.sampled_from([1, 64, None]))
     @settings(max_examples=200, deadline=None)
     def test_lloyd_pruned_equals_naive(
             self, case: Tuple[np.ndarray, np.ndarray],
             chunk: Optional[int]) -> None:
-        X, C0 = case
-        kwargs = {} if chunk is None else {
-            "chunk_elements": chunk * C0.shape[0] * C0.shape[1]}
-        _assert_same_outcome(lambda kernel: lloyd(
-            X, C0, max_iter=8, kernel=kernel, **kwargs))
+        _lloyd_outcome(case, chunk)
 
     @given(case=_CASES, level=st.sampled_from([1, 2, 3]))
     @settings(max_examples=15, deadline=None)
     def test_levels_pruned_equal_naive(
             self, machine: Machine, case: Tuple[np.ndarray, np.ndarray],
             level: int) -> None:
-        # Executors take at most n centroids.
-        X, C0 = case
-        C0 = C0[:X.shape[0]]
-        executor = {1: Level1Executor, 2: Level2Executor,
-                    3: Level3Executor}[level]
-        _assert_same_outcome(lambda kernel: executor(
-            machine, kernel=kernel, engine="thread", workers=2,
-            model_costs=False).run(X, C0, max_iter=6))
+        _level_outcome(machine, case, level)
+
+    # At these k, the default ball limit rarely puts a row on the pair
+    # path; forcing it covers each path alone.
+
+    @pytest.mark.parametrize("limit", sorted(BALL_LIMITS))
+    @given(case=_CASES, chunk=st.sampled_from([1, 64, None]))
+    @settings(max_examples=200, deadline=None)
+    def test_lloyd_pruned_equals_naive_at_forced_ball_limit(
+            self, limit: str, case: Tuple[np.ndarray, np.ndarray],
+            chunk: Optional[int]) -> None:
+        with mock.patch.object(bounds, "ball_limit", BALL_LIMITS[limit]):
+            _lloyd_outcome(case, chunk)
+
+    @pytest.mark.parametrize("limit", sorted(BALL_LIMITS))
+    @given(case=_CASES, level=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=15, deadline=None)
+    def test_levels_pruned_equal_naive_at_forced_ball_limit(
+            self, limit: str, machine: Machine,
+            case: Tuple[np.ndarray, np.ndarray], level: int) -> None:
+        with mock.patch.object(bounds, "ball_limit", BALL_LIMITS[limit]):
+            _level_outcome(machine, case, level)
 
 
 # ---------------------------------------------------------------------------
