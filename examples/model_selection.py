@@ -12,9 +12,13 @@ Run: python examples/model_selection.py
 
 import numpy as np
 
-from repro.analysis import bootstrap_stability, inertia_sweep, silhouette_sweep
 from repro.baselines import hamerly, minibatch, streaming_kmeans
 from repro.core import init_centroids, lloyd
+from repro.core.metrics import (
+    bootstrap_stability,
+    inertia_sweep,
+    silhouette_sweep,
+)
 from repro.data import gaussian_blobs
 from repro.machine.machine import toy_machine
 from repro.reporting import format_table

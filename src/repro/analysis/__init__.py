@@ -1,58 +1,13 @@
-"""Analysis tools: model selection, stability, and static analysis.
+"""Static analysis of the repo itself.
 
-Two families live here:
+* :mod:`repro.analysis.reprolint` — an AST rule framework enforcing the
+  determinism / ledger / LDM / environment invariants, with the
+  whole-program layer in :mod:`repro.analysis.project` and
+  :mod:`repro.analysis.dataflow` (run it as ``python -m repro.analysis``);
+* :mod:`repro.analysis.envvars` — the central registry of every
+  ``REPRO_*`` environment knob and its typed accessors, which the runtime
+  imports; so this ``__init__`` imports nothing.
 
-* **Model-selection and robustness analysis** on top of the public API —
-  :mod:`repro.analysis.elbow` and :mod:`repro.analysis.stability`.
-* **Static analysis of the repo itself** — :mod:`repro.analysis.reprolint`,
-  an AST rule framework enforcing the determinism / ledger / LDM
-  invariants (run it as ``python -m repro.analysis``), and
-  :mod:`repro.analysis.envvars`, the central registry of every ``REPRO_*``
-  environment knob.
-
-The numeric helpers import :mod:`repro.core`, while low-level runtime
-modules import :mod:`repro.analysis.envvars`; to keep that from becoming an
-import cycle this ``__init__`` loads the heavy submodules lazily via module
-``__getattr__`` instead of eagerly re-exporting them.
+Model selection and stability scoring (``inertia_sweep``,
+``bootstrap_stability``, ...) live in :mod:`repro.core.metrics`.
 """
-
-from __future__ import annotations
-
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .elbow import (  # noqa: F401
-        SweepResult,
-        inertia_sweep,
-        knee_point,
-        silhouette_sweep,
-    )
-    from .stability import StabilityReport, bootstrap_stability  # noqa: F401
-
-__all__ = [
-    "StabilityReport",
-    "SweepResult",
-    "bootstrap_stability",
-    "inertia_sweep",
-    "knee_point",
-    "silhouette_sweep",
-]
-
-_ELBOW = ("SweepResult", "inertia_sweep", "knee_point", "silhouette_sweep")
-_STABILITY = ("StabilityReport", "bootstrap_stability")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _ELBOW:
-        from . import elbow
-
-        return getattr(elbow, name)
-    if name in _STABILITY:
-        from . import stability
-
-        return getattr(stability, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | set(__all__))

@@ -52,9 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format: human-readable lines (default), JSON, or "
              "GitHub Actions workflow-command annotations")
     parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="alias for --format json (kept for older scripts)")
-    parser.add_argument(
         "--show-suppressed", action="store_true",
         help="also print findings silenced by suppression comments")
     parser.add_argument(
@@ -135,10 +132,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 kept.append(finding)
         findings = kept
 
-    fmt = "json" if args.as_json else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(render_json(findings))
-    elif fmt == "github":
+    elif args.format == "github":
         print(render_github(findings))
     else:
         print(render_human(findings, show_suppressed=args.show_suppressed))

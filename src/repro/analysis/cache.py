@@ -41,8 +41,9 @@ __all__ = ["CacheEntry", "LintCache", "default_cache_dir"]
 #: Bump when the pickled layout (Finding/FileSummary/_Suppression fields or
 #: the Op/Value IR) changes shape or meaning; the version feeds the content
 #: hash, so a bump silently invalidates every stale entry.  Version 2: path
-#: parts are relative to the project root.
-_SCHEMA = 2
+#: parts are relative to the project root.  Version 3: lambdas carry their
+#: own function summaries.
+_SCHEMA = 3
 
 
 def default_cache_dir() -> Optional[Path]:

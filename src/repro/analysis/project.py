@@ -1,15 +1,14 @@
 """Whole-program project model: file summaries, imports, and the call graph.
 
-reprolint's per-file rules go blind at a function boundary: an
-``engine.map`` result laundered through a helper escapes D106, a ledger
-charge buried two calls deep inside a task body escapes L201.  Closing
-those holes needs *whole-program* reasoning, and this module is its
-foundation:
+An AST walk of one file goes blind at a function boundary: an
+``engine.map`` result laundered through a helper, or a ledger charge
+buried two calls deep inside a task body, is out of its sight.  The W
+rules need *whole-program* reasoning, and this module is its foundation:
 
 * :class:`FileSummary` — a compact, **picklable** intermediate
-  representation of one source file (functions, imports, classes, and an
-  abstracted statement stream).  The summary carries everything the
-  interprocedural engine needs, so the incremental lint cache
+  representation of one source file (functions and lambdas, imports,
+  classes, and an abstracted statement stream).  The summary carries
+  everything the interprocedural engine needs, so the incremental lint cache
   (:mod:`repro.analysis.cache`) can store it keyed by content hash and a
   warm run never re-parses an unchanged file.
 * :class:`Project` — every summary of one lint invocation, with import
@@ -24,8 +23,7 @@ Known approximations (documented in ``docs/architecture.md``): dynamic
 dispatch through ``getattr``/dicts-of-functions is invisible, decorators
 are assumed name-preserving, and positional dataclass constructor
 arguments do not map to carrier attributes (keyword arguments do).  The
-graph over-approximates receivers named ``engine`` as execution engines —
-the same heuristic the per-file rules use.
+graph over-approximates receivers named ``engine`` as execution engines.
 """
 
 from __future__ import annotations
@@ -143,7 +141,11 @@ class Op:
 
 @dataclass(frozen=True)
 class FuncSummary:
-    """One function (or method, or the synthetic ``<module>`` body)."""
+    """One function, method, lambda, or the synthetic ``<module>`` body.
+
+    A lambda is named ``<lambda@line:col>`` after its position, nested
+    under the scope it appears in, and its body is one ``return`` op.
+    """
 
     module: str                    # dotted module name
     qualname: str                  # "<module>:<dotted func path>"
@@ -349,7 +351,7 @@ _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
 
 def _own_scope_nodes(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
     """All AST nodes of ``body`` excluding nested def/class/lambda scopes
-    (the nested defs get their own summaries)."""
+    (the nested defs and lambdas get their own summaries)."""
     stack: List[ast.AST] = list(body)
     while stack:
         node = stack.pop(0)
@@ -357,6 +359,17 @@ def _own_scope_nodes(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
+
+
+def _own_lambdas(body: Sequence[ast.stmt]) -> List[ast.Lambda]:
+    """The lambdas of ``body``'s own scope, in source-walk order."""
+    return [child for node in _own_scope_nodes(body)
+            for child in ast.iter_child_nodes(node)
+            if isinstance(child, ast.Lambda)]
+
+
+def _lambda_name(line: int, col: int) -> str:
+    return f"<lambda@{line}:{col}>"
 
 
 def _loop_op(node: ast.For) -> Op:
@@ -446,18 +459,27 @@ def _extract_ops(body: Sequence[ast.stmt]) -> Tuple[Tuple[Op, ...],
     return tuple(ops), tuple(calls)
 
 
-def _func_summary(node: "ast.FunctionDef | ast.AsyncFunctionDef",
-                  module: str, path: str, prefix: str,
-                  cls: Optional[str]) -> List[FuncSummary]:
-    """Summaries for one def and (recursively) the defs nested in it."""
-    func_path = f"{prefix}.{node.name}" if prefix else node.name
+def _func_summary(
+        node: "ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda",
+        module: str, path: str, prefix: str,
+        cls: Optional[str]) -> List[FuncSummary]:
+    """Summaries for one def or lambda and (recursively) the defs and
+    lambdas nested in it."""
+    body: Sequence[ast.stmt]
+    if isinstance(node, ast.Lambda):
+        name = _lambda_name(node.lineno, node.col_offset)
+        body = [ast.Return(value=node.body, lineno=node.lineno,
+                           col_offset=node.col_offset)]
+    else:
+        name, body = node.name, node.body
+    func_path = f"{prefix}.{name}" if prefix else name
     all_args = list(node.args.posonlyargs) + list(node.args.args)
     params = tuple(a.arg for a in all_args)
     annotations = tuple(_annotation_text(a.annotation) for a in all_args)
-    ops, calls = _extract_ops(node.body)
+    ops, calls = _extract_ops(body)
     nested: List[FuncSummary] = []
     nested_names: List[str] = []
-    for sub in node.body:
+    for sub in body:
         for inner in ast.walk(sub):
             if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and inner is not node \
@@ -465,8 +487,10 @@ def _func_summary(node: "ast.FunctionDef | ast.AsyncFunctionDef",
                 nested_names.append(inner.name)
                 nested.extend(_func_summary(inner, module, path,
                                             func_path, cls))
+    for lam in _own_lambdas(body):
+        nested.extend(_func_summary(lam, module, path, func_path, cls))
     summary = FuncSummary(
-        module=module, qualname=f"{module}:{func_path}", name=node.name,
+        module=module, qualname=f"{module}:{func_path}", name=name,
         cls=cls, params=params, annotations=annotations,
         line=node.lineno, col=node.col_offset, path=path,
         calls=calls, ops=ops, nested_defs=tuple(nested_names),
@@ -538,6 +562,8 @@ def extract_summary(tree: ast.Module, path: str,
                 module=module, name=node.name, methods=tuple(methods),
                 bases=tuple(filter(None, (_dotted_path(b)
                                           for b in node.bases)))))
+    for lam in _own_lambdas(tree.body):
+        functions.extend(_func_summary(lam, module, path, "", None))
     module_ops, module_calls = _extract_ops(tree.body)
     functions.append(FuncSummary(
         module=module, qualname=f"{module}:<module>", name="<module>",
@@ -755,10 +781,10 @@ class Project:
     def is_engine_receiver(self, func: FuncSummary, receiver: str) -> bool:
         """Heuristic + typed: is this receiver an ExecutionEngine?
 
-        Mirrors the per-file rules (a receiver whose last segment is
-        ``engine``) and adds receiver-type inference: an annotated or
-        constructor-typed variable whose class name ends with ``Engine``,
-        and ``self`` inside an ``*Engine`` class.
+        A receiver whose last segment is ``engine`` counts, and so does
+        one typed by inference: an annotated or constructor-typed
+        variable whose class name ends with ``Engine``, and ``self``
+        inside an ``*Engine`` class.
         """
         if not receiver:
             return False
@@ -859,14 +885,20 @@ class Project:
                                depth: int = 0) -> List[str]:
         """Function qualnames a callable-carrying value may refer to.
 
-        Follows direct references, ``functools.partial`` wrappers, and
-        bounded local assignment chains (``fn = helper`` then
-        ``engine.map(fn, ...)``).  Factory-returned callables are out of
-        scope (documented approximation).
+        Follows direct references, inline lambdas, ``functools.partial``
+        wrappers, and bounded local assignment chains (``fn = helper``
+        then ``engine.map(fn, ...)``).  Factory-returned callables are out
+        of scope (documented approximation).
         """
         if depth > 6:
             return []
         found: List[str] = []
+        scope = "" if func.name == "<module>" \
+            else f"{_strip_module(func.qualname)}."
+        for line, col in value.lambdas:
+            qual = f"{func.module}:{scope}{_lambda_name(line, col)}"
+            if qual in self.functions:
+                found.append(qual)
         for ref in value.refs:
             target, _ = self.resolve_ref(func, ref)
             if target is not None:

@@ -8,12 +8,12 @@ erode unless something mechanical holds them.  reprolint is that mechanism:
 a small rule framework over :mod:`ast` with
 
 * a registry of :class:`Rule` subclasses, each owning one invariant and one
-  stable id (``D101``, ``L201``, ...; see ``docs/invariants.md``),
+  stable id (``D101``, ``W602``, ...; see ``docs/invariants.md``),
 * per-line and per-file suppression comments that *require a reason*::
 
       thing = risky()  # reprolint: disable=D103 -- insertion order is sorted here
 
-      # reprolint: disable-file=E401 -- this module IS the env accessor
+      # reprolint: disable-file=W603 -- this module IS the env accessor
 
 * human and JSON output plus a CLI (``python -m repro.analysis``); the CI
   lint job fails on any unsuppressed finding.
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 #: ``# reprolint: disable=D101,D102 -- reason`` (trailing or whole-line) /
-#: ``# reprolint: disable-file=E401 -- reason``.
+#: ``# reprolint: disable-file=W603 -- reason``.
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(?P<kind>disable|disable-file)\s*=\s*"
     r"(?P<rules>[A-Z][0-9]{3}(?:\s*,\s*[A-Z][0-9]{3})*)"

@@ -11,7 +11,7 @@ entropy sources, order-sensitive float reductions, and float equality.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set, Tuple
+from typing import Iterator, Tuple
 
 from .reprolint import Finding, LintContext, Rule, dotted_name, register_rule
 
@@ -219,98 +219,6 @@ class CompletionOrderCollection(Rule):
                         f"run to run; collect futures in submission order "
                         f"so float partials merge deterministically")
                     break
-
-
-def _bound_names(target: ast.AST) -> Iterator[str]:
-    """Plain names bound by an assignment target (tuples unpacked)."""
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _bound_names(element)
-
-
-def _mentioned_names(node: ast.AST) -> Set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _is_engine_map_call(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "map"
-            and dotted_name(node.func.value).split(".")[-1] == "engine")
-
-
-@register_rule
-class ManualPartialAccumulation(Rule):
-    """D106: engine.map partials reduce through map_reduce, not by hand."""
-
-    id = "D106"
-    name = "manual-partial-accumulation"
-    summary = ("results of engine.map(...) must reduce through "
-               "ExecutionEngine.map_reduce / runtime/reduce.py; a "
-               "hand-rolled accumulation loop over the partials re-opens "
-               "the serial-merge bottleneck the reduce seam removed")
-    scopes = _NUMERIC_SCOPES
-    #: runtime/reduce.py and the engine's own reduce implementation are
-    #: the blessed home of partial merging.
-    exempt = ("reduce",)
-
-    def _tainted_names(self, ctx: LintContext) -> Set[str]:
-        """Names holding engine.map results, plus one-hop derivations.
-
-        The fixpoint walk also catches the historical indirections
-        (``unit_sums = {u: partials[u][0] ...}`` before the fold).
-        """
-        tainted: Set[str] = set()
-        for _ in range(4):  # bounded fixpoint over derivation chains
-            grew = False
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Assign):
-                    continue
-                seeds = _is_engine_map_call(node.value) \
-                    or (_mentioned_names(node.value) & tainted)
-                if not seeds:
-                    continue
-                for target in node.targets:
-                    for name in _bound_names(target):
-                        if name not in tainted:
-                            tainted.add(name)
-                            grew = True
-            if not grew:
-                break
-        return tainted
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        tainted = self._tainted_names(ctx)
-        if not tainted:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For) \
-                    and (_mentioned_names(node.iter) & tainted) \
-                    and any(isinstance(child, ast.AugAssign)
-                            and isinstance(child.op, (ast.Add, ast.Sub))
-                            for stmt in node.body
-                            for child in ast.walk(stmt)):
-                yield ctx.finding(
-                    self, node,
-                    "manual accumulation loop over engine.map partials; "
-                    "merge them with engine.map_reduce(fn, items, "
-                    "topology=...) so the reduction topology (and its "
-                    "determinism guarantees) applies")
-            elif isinstance(node, ast.Call) \
-                    and dotted_name(node.func) in ("sum", "np.sum",
-                                                   "numpy.sum") \
-                    and node.args \
-                    and isinstance(node.args[0], (ast.ListComp,
-                                                  ast.GeneratorExp,
-                                                  ast.List)) \
-                    and (_mentioned_names(node.args[0]) & tainted):
-                yield ctx.finding(
-                    self, node,
-                    "sum(...) over engine.map partials bypasses the "
-                    "reduction seam; merge them with engine.map_reduce "
-                    "(grouped topologies cover hierarchical merges)")
 
 
 #: Calls that adopt previously persisted state (checkpoint restores and

@@ -3,10 +3,11 @@
 Every ``REPRO_*`` knob is declared once in
 :mod:`repro.analysis.envvars` and read through its typed accessors, so the
 empty/whitespace-as-unset semantics live in exactly one place and the docs
-table cannot drift from the code.  The fault-path rule guards PR 2's
-contract: modelled :class:`~repro.errors.FaultError` faults belong to the
-recovery policies and must never be swallowed by a broad host-side
-``except``.
+table cannot drift from the code.  E402 checks the declarations; that only
+``envvars.py`` reads the environment is whole-program rule W603's job.
+The fault-path rule guards the fault contract: modelled
+:class:`~repro.errors.FaultError` faults belong to the recovery policies
+and must never be swallowed by a broad host-side ``except``.
 """
 
 from __future__ import annotations
@@ -19,34 +20,6 @@ from .reprolint import Finding, LintContext, Rule, dotted_name, register_rule
 
 _REPRO_NAME = re.compile(r"^REPRO_[A-Z0-9_]+$")
 
-#: The one module allowed to touch ``os.environ``.
-_ACCESSOR_MODULE = "envvars"
-
-
-@register_rule
-class RawEnvironRead(Rule):
-    """E401: all environment access goes through the typed accessors."""
-
-    id = "E401"
-    name = "raw-environ-read"
-    summary = ("only repro.analysis.envvars may touch os.environ / "
-               "os.getenv; everything else uses its typed accessors")
-    scopes = ("repro",)
-    exempt = (_ACCESSOR_MODULE,)
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            name = ""
-            if isinstance(node, (ast.Attribute, ast.Name)):
-                name = dotted_name(node)
-            if name.endswith("os.environ") or name == "os.environ" \
-                    or name.endswith("os.getenv") or name == "os.getenv":
-                yield ctx.finding(
-                    self, node,
-                    "direct environment access; read knobs through "
-                    "repro.analysis.envvars (read_str/read_int/read_float) "
-                    "so empty-as-unset semantics and the registry hold")
-
 
 @register_rule
 class UndeclaredEnvVar(Rule):
@@ -57,7 +30,7 @@ class UndeclaredEnvVar(Rule):
     summary = ("string literals naming a REPRO_* variable must be declared "
                "in repro.analysis.envvars.REGISTRY")
     scopes = ("repro",)
-    exempt = (_ACCESSOR_MODULE,)
+    exempt = ("envvars",)
 
     def _registered(self) -> frozenset:
         from .envvars import REGISTRY

@@ -1,83 +1,18 @@
-"""L-series rules: ledger/cost-model discipline at the engine seam.
+"""L-series rules: ledger/cost-model discipline.
 
-PR 3's design note: block tasks handed to the
-:class:`~repro.runtime.engine.ExecutionEngine` are *pure numerics*; all
-cost-model charging stays in a serial fixed-order loop after the partials
-return.  A charge inside an engine task would be re-applied by host
-retries/speculative re-runs and would land in pool-thread order — both
-break the bit-identical modelled ledger.
+Charging is an observer of the numerics: every modelled second lands in
+one of the ledger's fixed categories, in a serial fixed-order loop after
+the engine's partials return.  That charges stay out of engine tasks is
+a whole-program property (W602, :mod:`repro.analysis.rules_wholeprogram`);
+this module checks the categories a charge names.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator
 
-from .reprolint import Finding, LintContext, Rule, dotted_name, register_rule
-
-#: Methods that mutate the modelled ledger.
-_CHARGE_METHODS = ("charge", "charge_parallel", "charge_stream_phases")
-
-
-def _charge_calls(func: ast.AST) -> List[ast.Call]:
-    """Ledger-charging calls anywhere inside ``func`` (excluding nested defs
-    not reachable from it — conservatively we include everything: a nested
-    helper defined inside a task body runs inside the task)."""
-    calls = []
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            receiver = dotted_name(node.func.value)
-            if node.func.attr in _CHARGE_METHODS \
-                    or "ledger" in receiver.lower():
-                if node.func.attr in _CHARGE_METHODS:
-                    calls.append(node)
-    return calls
-
-
-@register_rule
-class ChargeInsideEngineTask(Rule):
-    """L201: functions submitted to the engine never touch the ledger."""
-
-    id = "L201"
-    name = "charge-inside-engine-task"
-    summary = ("functions passed to ExecutionEngine.map must not charge "
-               "the ledger; charging stays in the serial fixed-order loop")
-    scopes = ("core", "runtime")
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        # Map every function name to its (innermost) def node so a task
-        # passed by name can be resolved; lambdas are inspected inline.
-        defs: Dict[str, ast.AST] = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs[node.name] = node
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "map"
-                    and dotted_name(node.func.value).split(".")[-1]
-                    == "engine"
-                    and node.args):
-                continue
-            task = node.args[0]
-            target: Optional[ast.AST] = None
-            label = ""
-            if isinstance(task, ast.Lambda):
-                target, label = task, "lambda"
-            elif isinstance(task, ast.Name) and task.id in defs:
-                target, label = defs[task.id], task.id
-            if target is None:
-                continue
-            for charge in _charge_calls(target):
-                yield Finding(
-                    rule=self.id, path=ctx.path, line=charge.lineno,
-                    col=charge.col_offset + 1,
-                    message=(
-                        f"`.{charge.func.attr}(...)` inside engine task "  # type: ignore[attr-defined]
-                        f"`{label}`: host retries would re-charge it and "
-                        f"pool threads would charge out of order; move "
-                        f"charging to the serial loop over the partials"),
-                )
+from .reprolint import Finding, LintContext, Rule, register_rule
 
 
 @register_rule

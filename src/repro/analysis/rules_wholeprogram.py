@@ -1,20 +1,19 @@
 """W-series rules: whole-program (interprocedural) invariants.
 
-Every per-file flagship rule has a function-boundary hole: D106 loses an
-``engine.map`` result the moment it passes through a helper, L201 cannot
-see a ledger charge two calls deep inside a task body, E401 misses
-``from os import environ`` aliases and accessor-returned mappings, and
-D103 flags iteration *sites* rather than where the unordered value
-actually lands.  The W rules upgrade each of them to whole-program
-analyses on top of :mod:`repro.analysis.project` (module/call graph) and
-:mod:`repro.analysis.dataflow` (forward taint):
+A rule that walks one file's AST goes blind at a function boundary: an
+``engine.map`` result passed through a helper, a ledger charge two calls
+deep inside a task body, an ``os.environ`` reached through an alias or a
+wrapper's return.  The W rules state these invariants over
+:mod:`repro.analysis.project` (module/call graph) and
+:mod:`repro.analysis.dataflow` (forward taint), so one rule covers the
+direct case and every laundered one:
 
 * ``W601`` — ``engine.map`` partials reaching a manual accumulation in
-  *any* function (D106, interprocedural),
-* ``W602`` — a ledger charge *reachable along call edges* from a task
-  callable handed to ``engine.map``/``map_reduce`` (L201),
-* ``W603`` — ``os.environ``/``os.getenv`` reads outside ``envvars.py``
-  through aliases or wrapper-returned mappings (E401/E402),
+  the mapping function or *any* function downstream,
+* ``W602`` — a ledger charge in, or *reachable along call edges* from, a
+  task or combine callable handed to the engine seam (lambdas included),
+* ``W603`` — ``os.environ``/``os.getenv`` reads outside ``envvars.py``,
+  direct or through aliases and wrapper-returned mappings,
 * ``W604`` — unpicklable callables reaching the engine seam directly or
   through variables, partials, factories, or wrapper parameters,
 * ``W605`` — dict/set iteration order flowing into committed centroid or
@@ -33,11 +32,11 @@ from .dataflow import TaintEngine, TaintSpec
 from .project import CallRec, FuncSummary, Op, Project, Value
 from .reprolint import Finding, ProjectRule, register_rule
 
-#: Methods that mutate the modelled ledger (mirrors rules_ledger).
+#: Methods that mutate the modelled ledger.
 _CHARGE_METHODS = frozenset({"charge", "charge_parallel",
                              "charge_stream_phases"})
 
-#: ``sum``-style reductions D106/W601 ban over raw partials.
+#: ``sum``-style reductions W601 bans over raw partials.
 _SUM_CALLS = frozenset({"sum", "np.sum", "numpy.sum"})
 
 #: Environment objects whose escape W603 tracks.
@@ -78,21 +77,24 @@ def _seed_engine_map(project: Project, func: FuncSummary,
 
 @register_rule
 class InterproceduralPartialAccumulation(ProjectRule):
-    """W601: D106 across function boundaries."""
+    """W601: engine.map partials merge only through the reduction seam."""
 
     id = "W601"
     name = "interprocedural-partial-accumulation"
     summary = ("engine.map partials must reduce through map_reduce / "
-               "runtime/reduce.py even when they travel through helper "
-               "functions, returns, or carrier attributes; a hand-rolled "
+               "runtime/reduce.py, in the mapping function or after they "
+               "travel through helper functions, returns, derived "
+               "containers, or carrier attributes; a hand-rolled "
                "accumulation anywhere downstream re-opens the serial-merge "
-               "bottleneck (interprocedural D106)")
+               "bottleneck")
     scopes = ("core", "runtime")
     exempt = ("reduce", "engine")
 
     def check_project(self, project: Project) -> Iterator[Finding]:
+        # ``unit_sums[u].sum()`` still carries the partials it reduces.
         engine = _engine_for(project, self.id, TaintSpec(
-            name=self.id, seed_call=_seed_engine_map))
+            name=self.id, seed_call=_seed_engine_map,
+            transparent_methods=frozenset({"copy", "sum"})))
         for summary in project.files.values():
             if not self.scope_ok(summary.parts):
                 continue
@@ -105,9 +107,8 @@ class InterproceduralPartialAccumulation(ProjectRule):
                         seen.add((op.line, op.col))
                         yield _finding(
                             self, summary.path, op.line, op.col,
-                            "manual accumulation over engine.map partials "
-                            "that crossed a function boundary; merge them "
-                            "with engine.map_reduce(fn, items, "
+                            "manual accumulation over engine.map partials; "
+                            "merge them with engine.map_reduce(fn, items, "
                             "topology=...) so the reduction topology owns "
                             "the merge order")
                 for call in func.calls:
@@ -117,9 +118,8 @@ class InterproceduralPartialAccumulation(ProjectRule):
                         seen.add((call.line, call.col))
                         yield _finding(
                             self, summary.path, call.line, call.col,
-                            "sum(...) over engine.map partials that "
-                            "crossed a function boundary bypasses the "
-                            "reduction seam; merge them with "
+                            "sum(...) over engine.map partials bypasses "
+                            "the reduction seam; merge them with "
                             "engine.map_reduce")
 
 
@@ -129,15 +129,15 @@ class InterproceduralPartialAccumulation(ProjectRule):
 
 @register_rule
 class ReachableChargeInTask(ProjectRule):
-    """W602: L201 to any call depth."""
+    """W602: engine tasks never charge the ledger, at any call depth."""
 
     id = "W602"
     name = "reachable-charge-in-engine-task"
-    summary = ("no ledger charge may be *reachable along call edges* from "
-               "a task or combine callable handed to engine.map / "
-               "map_reduce / reduce_partials — host retries would re-apply "
-               "it in pool order no matter how many helpers deep it hides "
-               "(interprocedural L201)")
+    summary = ("no ledger charge may sit in, or be *reachable along call "
+               "edges* from, a task or combine callable (a def, partial, "
+               "or lambda) handed to engine.map / map_reduce / "
+               "reduce_partials — host retries would re-apply it in pool "
+               "order no matter how many helpers deep it hides")
     scopes = ("core", "runtime")
 
     def _roots(self, project: Project) -> List[Tuple[str, str, str]]:
@@ -198,31 +198,24 @@ def _short(qualname: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# W603 — environment reads escaping envvars.py through wrappers/aliases
+# W603 — environment reads outside envvars.py, direct or laundered
 # ---------------------------------------------------------------------------
 
 def _seed_env_ref(project: Project, func: FuncSummary, ref: str) -> bool:
     return ref in _ENV_SEEDS
 
 
-def _textually_visible_to_e401(path: str) -> bool:
-    """E401 already flags dotted names ending in os.environ / os.getenv."""
-    return path in ("os.environ", "os.getenv") \
-        or path.endswith(".os.environ") or path.endswith(".os.getenv") \
-        or path.endswith("os.environ") or path.endswith("os.getenv")
-
-
 @register_rule
 class LaunderedEnvironRead(ProjectRule):
-    """W603: E401 through aliases and wrapper-returned mappings."""
+    """W603: only envvars.py reads the environment, however it is reached."""
 
     id = "W603"
     name = "laundered-environ-read"
-    summary = ("environment reads outside repro.analysis.envvars through "
-               "`from os import environ` aliases, rebound getters, or "
-               "accessor-returned mappings are still raw reads; knobs go "
-               "through the typed read_str/read_int/read_float accessors "
-               "(interprocedural E401/E402)")
+    summary = ("only repro.analysis.envvars may read os.environ / "
+               "os.getenv, directly or through `from os import environ` "
+               "aliases, rebound getters, or accessor-returned mappings; "
+               "knobs go through the typed read_str/read_int/read_float "
+               "accessors")
     scopes = ("repro",)
     exempt = ("envvars",)
 
@@ -245,29 +238,25 @@ class LaunderedEnvironRead(ProjectRule):
                 seen.add((line, col))
                 yield _finding(
                     self, path, line, col,
-                    f"{what} reads the environment through a laundered "
-                    f"os.environ/os.getenv reference; read knobs through "
-                    f"repro.analysis.envvars (read_str/read_int/"
-                    f"read_float) so empty-as-unset semantics and the "
-                    f"registry hold")
+                    f"{what} reads the environment outside "
+                    f"repro.analysis.envvars; read knobs through its "
+                    f"typed accessors (read_str/read_int/read_float) so "
+                    f"empty-as-unset semantics and the registry hold")
 
         for op in func.ops:
-            if op.kind == "subscript" and op.targets:
-                base = op.targets[0]
-                if not _textually_visible_to_e401(base) \
-                        and engine.ref_tainted(func, base):
-                    yield from flag(op.line, op.col, f"`{base}[...]`")
+            if op.kind == "subscript" \
+                    and engine.ref_tainted(func, op.targets[0]):
+                yield from flag(op.line, op.col, f"`{op.targets[0]}[...]`")
         for call in func.calls:
-            if _textually_visible_to_e401(call.callee):
-                continue
-            if call.receiver and call.attr in _ENV_READ_METHODS \
-                    and engine.ref_tainted(func, call.receiver):
-                yield from flag(call.line, call.col,
-                                f"`{call.callee}(...)`")
-            elif call.callee and "." not in call.callee \
-                    and engine.ref_tainted(func, call.callee):
-                yield from flag(call.line, call.col,
-                                f"`{call.callee}(...)`")
+            if call.receiver and engine.ref_tainted(func, call.receiver):
+                # A method of an environment mapping: only reads count.
+                hit = call.attr in _ENV_READ_METHODS
+            else:
+                # The callee itself is a getter (os.getenv or an alias).
+                hit = bool(call.callee) \
+                    and engine.ref_tainted(func, call.callee)
+            if hit:
+                yield from flag(call.line, call.col, f"`{call.callee}(...)`")
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 Long-running Level-3 jobs on thousands of core groups cannot afford to lose
 the whole run to one failed CG, so the executor periodically snapshots the
-algorithm state — ``(iteration, centroids, rng state)`` is everything Lloyd
-needs, since the assignments are a pure function of ``(X, C)``.  The
-snapshot's modelled I/O cost (a burst-buffer write priced as
-``latency + nbytes / bandwidth``) is charged to the ledger's ``checkpoint``
-category; restoring after a fault charges the mirror read to ``recovery``.
+algorithm state — ``(iteration, centroids)`` is everything Lloyd needs: the
+assignments are a pure function of ``(X, C)``, and the Lloyd iteration
+itself draws no random numbers.  The snapshot's modelled I/O cost (a
+burst-buffer write priced as ``latency + nbytes / bandwidth``) is charged
+to the ledger's ``checkpoint`` category; restoring after a fault charges
+the mirror read to ``recovery``.
 
 Checkpoints always live in memory (that is the restart point the modelled
 recovery policies roll back to), and can additionally be made **durable**:
@@ -98,7 +99,6 @@ class Checkpoint:
 
     iteration: int
     centroids: np.ndarray
-    rng_state: Optional[dict] = None
 
     @property
     def nbytes(self) -> int:
@@ -305,8 +305,7 @@ class CheckpointStore:
             C.dtype, copy=False)
         return restored, int(snapshot.iteration)
 
-    def maybe_save(self, iteration: int, centroids: np.ndarray,
-                   rng_state: Optional[dict] = None) -> bool:
+    def maybe_save(self, iteration: int, centroids: np.ndarray) -> bool:
         """Snapshot if the cadence says so; charge the write.
 
         Returns True when a snapshot was taken.
@@ -314,8 +313,7 @@ class CheckpointStore:
         if self.config.every is None or iteration % self.config.every != 0:
             return False
         self.last = Checkpoint(iteration=iteration,
-                               centroids=np.array(centroids, copy=True),
-                               rng_state=rng_state)
+                               centroids=np.array(centroids, copy=True))
         self.n_saved += 1
         self.ledger.charge("checkpoint", "checkpoint.save",
                            self.config.io_seconds(self.last.nbytes))

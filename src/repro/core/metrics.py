@@ -16,16 +16,33 @@ users must be able to score a clustering.  Implemented here:
 
 All metrics are pure NumPy, vectorised, and validated against hand-worked
 examples in the tests (no sklearn dependency).
+
+The paper takes k as given (its subject is scale, not model selection),
+but a library user's first question is "what k?", and the second is
+whether the answer is stable.  On top of the facade:
+
+* ``inertia_sweep``       — final inertia per k (optionally multi-restart);
+  ``best_k`` is the knee of the curve,
+* ``knee_point``          — the Kneedle-style maximum-distance-to-chord
+  rule on an inertia curve,
+* ``silhouette_sweep``    — mean silhouette per k for small/medium n,
+* ``bootstrap_stability`` — refit on bootstrap subsamples and score each
+  refit's agreement (ARI) with the full-data clustering on the shared
+  points: a high mean ARI is stable structure, near zero is k-means
+  carving noise.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, DataShapeError
-from ._common import squared_distances
+from ..machine.machine import Machine
+from ._common import assign_chunked, squared_distances
+from .kmeans import HierarchicalKMeans
 
 
 def _validate_labels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,3 +203,162 @@ def davies_bouldin(X: np.ndarray, assignments: np.ndarray,
             for j in others if sep[i, j] > 0
         )
     return float(ratios.mean())
+
+
+# ---------------------------------------------------------------------------
+# choosing k and checking stability
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SweepResult:
+    """Outcome of a model-selection sweep over k."""
+
+    ks: List[int]
+    scores: List[float]
+    #: k suggested by the selection rule (knee / max silhouette).
+    best_k: Optional[int] = None
+    extras: Dict[int, object] = field(default_factory=dict)
+
+
+def _validate_ks(ks: Sequence[int], n: int) -> List[int]:
+    ks = [int(k) for k in ks]
+    if not ks:
+        raise ConfigurationError("ks must be non-empty")
+    if sorted(ks) != ks or len(set(ks)) != len(ks):
+        raise ConfigurationError("ks must be strictly increasing")
+    if ks[0] < 1 or ks[-1] > n:
+        raise ConfigurationError(f"ks must lie in [1, n={n}]")
+    return ks
+
+
+def inertia_sweep(X: np.ndarray, ks: Sequence[int],
+                  machine: Optional[Machine] = None, n_init: int = 1,
+                  seed: int = 0, max_iter: int = 60) -> SweepResult:
+    """Final inertia per k; ``best_k`` is the knee of the curve."""
+    X = np.asarray(X)
+    ks = _validate_ks(ks, X.shape[0])
+    scores: List[float] = []
+    for k in ks:
+        model = HierarchicalKMeans(k, machine=machine, init="kmeans++",
+                                   n_init=n_init, seed=seed,
+                                   max_iter=max_iter)
+        scores.append(model.fit(X).inertia)
+    best = knee_point(ks, scores) if len(ks) >= 3 else None
+    return SweepResult(ks=ks, scores=scores, best_k=best)
+
+
+def knee_point(ks: Sequence[int], inertias: Sequence[float]) -> int:
+    """Elbow rule: the k whose point is farthest below the first-last chord.
+
+    Works on any convex-ish decreasing curve; returns one of ``ks``.
+    """
+    if len(ks) != len(inertias) or len(ks) < 3:
+        raise ConfigurationError(
+            "need >= 3 aligned (k, inertia) points for a knee"
+        )
+    x = np.asarray(ks, dtype=np.float64)
+    y = np.asarray(inertias, dtype=np.float64)
+    # Normalise both axes so the chord geometry is scale-free.
+    x_n = (x - x[0]) / max(x[-1] - x[0], 1e-30)
+    y_n = (y - y[-1]) / max(y[0] - y[-1], 1e-30)
+    # Distance below the (0,1)-(1,0) chord: 1 - x - y, maximised at the knee.
+    gap = 1.0 - x_n - y_n
+    return int(x[int(np.argmax(gap))])
+
+
+def silhouette_sweep(X: np.ndarray, ks: Sequence[int],
+                     machine: Optional[Machine] = None, seed: int = 0,
+                     max_iter: int = 60,
+                     sample_size: Optional[int] = 1000) -> SweepResult:
+    """Mean silhouette per k; ``best_k`` maximises it.
+
+    ks must start at 2 or above (silhouette is undefined for one cluster).
+    """
+    X = np.asarray(X)
+    ks = _validate_ks(ks, X.shape[0])
+    if ks[0] < 2:
+        raise ConfigurationError("silhouette needs k >= 2")
+    scores: List[float] = []
+    for k in ks:
+        model = HierarchicalKMeans(k, machine=machine, init="kmeans++",
+                                   seed=seed, max_iter=max_iter)
+        result = model.fit(X)
+        scores.append(silhouette_score(X, result.assignments,
+                                       sample_size=sample_size, seed=seed))
+    best = ks[int(np.argmax(scores))]
+    return SweepResult(ks=list(ks), scores=scores, best_k=best)
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    """Bootstrap agreement scores for one (X, k) clustering."""
+
+    k: int
+    n_rounds: int
+    scores: List[float]
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.scores))
+
+    @property
+    def std(self) -> float:
+        return float(np.std(self.scores))
+
+    @property
+    def stable(self) -> bool:
+        """Rule of thumb: mean bootstrap ARI above 0.7."""
+        return self.mean > 0.7
+
+
+def bootstrap_stability(X: np.ndarray, k: int,
+                        machine: Optional[Machine] = None,
+                        n_rounds: int = 10, subsample: float = 0.8,
+                        seed: int = 0, max_iter: int = 50
+                        ) -> StabilityReport:
+    """Score clustering stability under bootstrap subsampling.
+
+    Parameters
+    ----------
+    n_rounds:
+        Number of bootstrap refits.
+    subsample:
+        Fraction of samples drawn (without replacement) per round.
+
+    Returns
+    -------
+    StabilityReport with one ARI per round: agreement between the
+    reference clustering's assignment of the subsample and the refit
+    clustering of that subsample.
+    """
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ConfigurationError(f"X must be 2-D, got {X.shape}")
+    if n_rounds < 1:
+        raise ConfigurationError(f"n_rounds must be >= 1, got {n_rounds}")
+    if not 0.0 < subsample <= 1.0:
+        raise ConfigurationError(
+            f"subsample must be in (0, 1], got {subsample}"
+        )
+    n = X.shape[0]
+    m = max(k, int(round(subsample * n)))
+    if m > n:
+        raise ConfigurationError(
+            f"subsample of {m} exceeds n={n} (k={k} floor)"
+        )
+    rng = np.random.default_rng(seed)
+
+    reference = HierarchicalKMeans(k, machine=machine, init="kmeans++",
+                                   seed=seed, max_iter=max_iter).fit(X)
+
+    scores: List[float] = []
+    for round_i in range(n_rounds):
+        idx = rng.choice(n, size=m, replace=False)
+        sub = X[idx]
+        refit = HierarchicalKMeans(
+            k, machine=machine, init="kmeans++",
+            seed=seed + 1 + round_i, max_iter=max_iter,
+        ).fit(sub)
+        ref_labels = assign_chunked(sub, reference.centroids)
+        scores.append(adjusted_rand_index(refit.assignments, ref_labels))
+    return StabilityReport(k=k, n_rounds=n_rounds, scores=scores)

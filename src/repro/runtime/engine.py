@@ -476,7 +476,7 @@ class ExecutionEngine(ABC):
         ``combine`` must be pure and non-mutating (retries re-run it on
         the original operands).  Combines never charge the ledger — the
         executors charge modelled reduction costs in canonical order
-        outside engine tasks (reprolint L201).
+        outside engine tasks (reprolint W602).
         """
         topo = resolve_reduce(topology)
         verifying = self.integrity != "off"
@@ -564,7 +564,7 @@ class ExecutionEngine(ABC):
         topology)``; with ``return_partials=True`` the result is the pair
         ``(reduced, partials)`` for callers whose cost model also needs
         the individual per-block partials.  This is the canonical merge
-        path for every Assign+Accumulate call site — reprolint rule D106
+        path for every Assign+Accumulate call site — reprolint rule W601
         flags hand-rolled accumulation loops over ``engine.map`` results.
         """
         work: Sequence[_T] = list(items)

@@ -45,7 +45,7 @@ order.
 Ledger note: combines charge **nothing** here.  Modelled reduction costs
 (register-communication and MPI allreduce seconds) stay with the
 executors, which charge them in canonical order outside engine tasks —
-reprolint rule L201 forbids charging from inside a mapped task, and the
+reprolint rule W602 forbids charging from inside a mapped task, and the
 tree seam keeps that contract.
 
 Selection: ``reduce="tree"`` on the facade/executors/:func:`lloyd`/CLI, or

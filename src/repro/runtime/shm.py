@@ -31,7 +31,11 @@ Lifetime discipline (the part that must survive crashes):
 * a SIGKILL'd parent cannot run either path; there the stdlib
   ``resource_tracker`` — a separate process that outlives the parent —
   best-effort unlinks the leaked segments (``tests/runtime/test_shm.py``
-  asserts this end to end against ``/dev/shm``).
+  asserts this end to end against ``/dev/shm``);
+* a kill that lands between a segment's creation and its registration
+  with the tracker leaves a segment nothing tracks, so every new arena
+  first unlinks the ``repro-<pid>-…`` segments whose process is gone
+  (:func:`_sweep_orphaned_segments`).
 
 With the fork start method every process shares the *same* resource
 tracker (forked children inherit its pipe), and the tracker's registry is
@@ -45,6 +49,7 @@ SIGKILL backstop above.
 from __future__ import annotations
 
 import os
+import re
 import threading
 import weakref
 from dataclasses import dataclass
@@ -206,6 +211,48 @@ def _release_segments(segments: Dict[str, shared_memory.SharedMemory]) -> None:
     segments.clear()
 
 
+#: Where POSIX shared memory shows up as files (Linux).
+_SHM_DIR = "/dev/shm"
+
+#: Every segment this module creates is named ``repro-<creator pid>-...``.
+_SEGMENT_PID = re.compile(r"repro-(\d{1,9})-")
+
+
+def _process_gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # PermissionError: alive, but another user's
+        return False
+    return False
+
+
+def _sweep_orphaned_segments() -> None:
+    """Unlink the segments whose creating process no longer exists.
+
+    The resource tracker cannot unlink a segment it was never told about.
+    Only this user's segments are touched, and only when the pid in the
+    name is gone from this host's (pid namespace's) process table; a
+    missing ``/dev/shm`` means there is nothing to sweep.
+    """
+    try:
+        names = sorted(os.listdir(_SHM_DIR))
+    except OSError:
+        return
+    uid = os.getuid()
+    for name in names:
+        match = _SEGMENT_PID.match(name)
+        if match is None or not _process_gone(int(match.group(1))):
+            continue
+        path = os.path.join(_SHM_DIR, name)
+        try:
+            if os.stat(path).st_uid == uid:
+                os.unlink(path)
+        except OSError:  # gone already, or not ours to remove
+            pass
+
+
 class SharedArena:
     """Named shared-memory segments for one engine's published operands.
 
@@ -221,6 +268,7 @@ class SharedArena:
     _counter_lock = threading.Lock()
 
     def __init__(self, tag: str = "arena") -> None:
+        _sweep_orphaned_segments()
         with SharedArena._counter_lock:
             SharedArena._counter += 1
             serial = SharedArena._counter

@@ -192,7 +192,8 @@ class TestD105:
 
 
 # ---------------------------------------------------------------------------
-# D106 manual accumulation over engine.map partials
+# D106's fixtures: manual accumulation over engine.map partials, linted by
+# W601, the whole-program rule D106 was folded into
 # ---------------------------------------------------------------------------
 
 class TestD106:
@@ -208,7 +209,7 @@ class TestD106:
                 counts += c
             return sums, counts
         """
-        assert findings_for(src, CORE, "D106")
+        assert findings_for(src, CORE, "W601")
 
     def test_flags_loop_over_derived_partials(self):
         src = """
@@ -220,7 +221,7 @@ class TestD106:
                 total += unit_sums[u].sum()
             return total
         """
-        assert findings_for(src, RUNTIME, "D106")
+        assert findings_for(src, RUNTIME, "W601")
 
     def test_flags_sum_comprehension_over_partials(self):
         src = """
@@ -228,7 +229,7 @@ class TestD106:
             partials = self.engine.map(self.work, range(4))
             return sum(p[0] for p in partials)
         """
-        assert findings_for(src, CORE, "D106")
+        assert findings_for(src, CORE, "W601")
 
     def test_accepts_map_reduce(self):
         src = """
@@ -237,7 +238,7 @@ class TestD106:
                 self.group_work, range(plan.n_groups), topology=self.reduce)
             return sums, counts
         """
-        assert_clean(src, CORE, "D106")
+        assert_clean(src, CORE, "W601")
 
     def test_accepts_non_accumulating_loop_over_partials(self):
         src = """
@@ -247,7 +248,7 @@ class TestD106:
                 self.ledger.charge("compute", "ok", float(value))
             return partials
         """
-        assert_clean(src, CORE, "D106")
+        assert_clean(src, CORE, "W601")
 
     def test_reduce_module_is_exempt(self):
         src = """
@@ -258,7 +259,7 @@ class TestD106:
                 total += p
             return total
         """
-        assert_clean(src, "src/repro/runtime/reduce.py", "D106")
+        assert_clean(src, "src/repro/runtime/reduce.py", "W601")
 
     def test_out_of_scope_module_is_ignored(self):
         src = """
@@ -269,7 +270,7 @@ class TestD106:
                 total += p
             return total
         """
-        assert_clean(src, "benchmarks/bench_engine.py", "D106")
+        assert_clean(src, "benchmarks/bench_engine.py", "W601")
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +352,8 @@ class TestD107:
 
 
 # ---------------------------------------------------------------------------
-# L201 ledger charge inside an engine task
+# L201's fixtures: a ledger charge inside an engine task, linted by W602,
+# the whole-program rule L201 was folded into
 # ---------------------------------------------------------------------------
 
 class TestL201:
@@ -363,7 +365,7 @@ class TestL201:
                 return unit
             return self.engine.map(unit_work, range(4))
         """
-        assert findings_for(src, CORE, "L201")
+        assert findings_for(src, CORE, "W602")
 
     def test_flags_charge_inside_mapped_lambda(self):
         src = """
@@ -372,7 +374,7 @@ class TestL201:
                 lambda u: self.ledger.charge_parallel("dma", "bad", [u]),
                 range(4))
         """
-        assert findings_for(src, CORE, "L201")
+        assert findings_for(src, CORE, "W602")
 
     def test_accepts_charging_in_serial_loop(self):
         src = """
@@ -384,7 +386,7 @@ class TestL201:
                 self.ledger.charge("compute", "ok", float(value))
             return partials
         """
-        assert_clean(src, CORE, "L201")
+        assert_clean(src, CORE, "W602")
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +486,8 @@ class TestC302:
 
 
 # ---------------------------------------------------------------------------
-# E401 raw environment reads
+# E401's fixtures: raw environment reads, linted by W603, the
+# whole-program rule E401 was folded into
 # ---------------------------------------------------------------------------
 
 class TestE401:
@@ -495,21 +498,21 @@ class TestE401:
         def engine_name():
             return os.environ.get("HOME")
         """
-        assert findings_for(src, RUNTIME, "E401")
+        assert findings_for(src, RUNTIME, "W603")
 
     def test_flags_os_getenv(self):
         src = """
         import os
         value = os.getenv("HOME")
         """
-        assert findings_for(src, RUNTIME, "E401")
+        assert findings_for(src, RUNTIME, "W603")
 
     def test_accessor_module_is_exempt(self):
         src = """
         import os
         value = os.environ.get("REPRO_ENGINE")
         """
-        assert_clean(src, "src/repro/analysis/envvars.py", "E401")
+        assert_clean(src, "src/repro/analysis/envvars.py", "W603")
 
     def test_accepts_typed_accessors(self):
         src = """
@@ -518,7 +521,7 @@ class TestE401:
         def engine_name():
             return read_str(ENV_ENGINE)
         """
-        assert_clean(src, RUNTIME, "E401")
+        assert_clean(src, RUNTIME, "W603")
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +721,9 @@ def test_rule_ids_are_unique_and_stable():
     ids = [r.id for r in rules]
     assert len(ids) == len(set(ids))
     # The documented catalogue: removing a rule is an API break.
-    assert {"D101", "D102", "D103", "D104", "D105", "D106", "D107",
-            "L201", "L202", "C301", "C302",
-            "E401", "E402", "E403", "T501"} <= set(ids)
+    assert {"D101", "D102", "D103", "D104", "D105", "D107",
+            "L202", "C301", "C302",
+            "E402", "E403", "T501"} <= set(ids)
 
 
 def test_every_rule_has_summary_and_name():

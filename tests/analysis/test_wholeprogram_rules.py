@@ -1,11 +1,13 @@
-"""W601–W605: the interprocedural rules, incl. holes the per-file rules miss.
+"""W601–W605: the interprocedural rules.
 
-Every positive fixture here launders the violation through at least one
-helper-function hop, and each one asserts *both* that the W rule fires
-and that its per-file counterpart (D106, L201, E401, D103) stays silent —
-that pairing is the whole point of the W series.  W604 has no per-file
-counterpart: it is the one picklability rule, so its section also covers
-the direct cases (a lambda or nested def handed straight to the seam).
+The positive fixtures here launder the violation through at least one
+hop — a helper function, a return, a module boundary, an import alias —
+that a walk of one function's AST cannot follow.  The direct cases of
+W601–W603 are the fixtures of the per-file rules they replaced (D106,
+L201, E401), kept in ``test_reprolint_rules.py``.  W604 has no per-file
+ancestor, so its section also covers the direct cases (a lambda or
+nested def handed straight to the seam).  W605's hole test shows what
+D103, which stays, cannot see.
 """
 
 import textwrap
@@ -61,11 +63,6 @@ W601_HELPER_HOP = """
 
 def test_w601_fires_through_helper_return():
     assert_fires(W601_HELPER_HOP, CORE, "W601")
-
-
-def test_w601_hole_is_invisible_to_d106():
-    # The per-file rule loses the taint at the fan_out boundary.
-    assert_clean(W601_HELPER_HOP, CORE, "D106")
 
 
 def test_w601_fires_through_parameter_hop():
@@ -183,8 +180,18 @@ def test_w602_fires_two_calls_deep():
     assert "reached from task" in found[0].message
 
 
-def test_w602_hole_is_invisible_to_l201():
-    assert_clean(W602_DEEP_CHARGE, CORE, "L201")
+def test_w602_fires_through_a_lambda_task():
+    found = assert_fires(
+        """
+        def charge_block(ledger, block):
+            ledger.charge("compute", 1.0)
+            return block
+
+        def run(engine, blocks, ledger):
+            return engine.map(lambda b: charge_block(ledger, b), blocks)
+        """,
+        CORE, "W602")
+    assert "reached from task `run.<lambda@" in found[0].message
 
 
 def test_w602_fires_for_combine_callables():
@@ -250,12 +257,6 @@ def test_w603_fires_on_from_import_alias():
     assert_fires(W603_IMPORT_ALIAS, RUNTIME, "W603")
 
 
-def test_w603_hole_is_invisible_to_e401():
-    # E401 matches dotted names ending in os.environ/os.getenv; the bare
-    # `environ` alias from `from os import environ` slips through.
-    assert_clean(W603_IMPORT_ALIAS, RUNTIME, "E401")
-
-
 def test_w603_fires_on_rebound_getter():
     assert_fires(
         """
@@ -289,18 +290,6 @@ def test_w603_clean_on_typed_accessors():
 
         def run():
             return envvars.read_str(envvars.ENV_ENGINE)
-        """,
-        RUNTIME, "W603")
-
-
-def test_w603_does_not_double_report_e401_sites():
-    # Direct os.environ reads are E401's finding; W603 stays quiet.
-    assert_clean(
-        """
-        import os
-
-        def run():
-            return os.environ["REPRO_ENGINE"]
         """,
         RUNTIME, "W603")
 

@@ -201,3 +201,59 @@ def test_sigkilled_parent_leaves_no_dev_shm_leak(tmp_path):
     assert not _shm_entries(segment), (
         f"segment {segment} still in /dev/shm 30s after the parent was "
         f"SIGKILL'd; the resource-tracker backstop is broken")
+
+
+# ---------------------------------------------------------------------------
+# the sweep that does not rely on the tracker
+# ---------------------------------------------------------------------------
+
+def _exited_pid():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def _untracked_segment(pid, tag):
+    """What a kill between ``shm_open`` and the tracker's ``register``
+    leaves behind: a segment file that no resource tracker knows about."""
+    name = f"repro-{pid}-0-{tag}"
+    os.close(os.open(os.path.join(SHM_DIR, name),
+                     os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600))
+    return name
+
+
+def _remove(*names):
+    for name in names:
+        try:
+            os.unlink(os.path.join(SHM_DIR, name))
+        except FileNotFoundError:
+            pass
+
+
+def test_new_arena_sweeps_segments_of_exited_processes():
+    orphan = _untracked_segment(_exited_pid(), "orphan")
+    live = _untracked_segment(os.getpid(), "live")
+    try:
+        SharedArena(tag="sweep")
+        assert not _shm_entries(orphan)
+        assert _shm_entries(live)
+    finally:
+        _remove(orphan, live)
+
+
+@pytest.mark.skipif(os.getuid() != 0, reason="chown needs root")
+def test_sweep_spares_other_users_segments():
+    foreign = _untracked_segment(_exited_pid(), "foreign")
+    try:
+        os.chown(os.path.join(SHM_DIR, foreign), 65534, 65534)
+        SharedArena(tag="sweep")
+        assert _shm_entries(foreign)
+    finally:
+        _remove(foreign)
+
+
+def test_sweep_without_dev_shm_is_a_no_op(monkeypatch, tmp_path):
+    import repro.runtime.shm as shm
+
+    monkeypatch.setattr(shm, "_SHM_DIR", str(tmp_path / "absent"))
+    shm._sweep_orphaned_segments()

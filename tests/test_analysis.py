@@ -1,9 +1,9 @@
-"""Tests for the model-selection / stability analysis tools."""
+"""Tests for the model-selection / stability tools in repro.core.metrics."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.core.metrics import (
     bootstrap_stability,
     inertia_sweep,
     knee_point,
