@@ -1,13 +1,13 @@
-"""Benchmarks of the reduction seam: serial fold vs tree combine.
+"""Benchmarks of the reduction seam: the serial and tree merge orders.
 
 Two sweeps, standalone (no pytest-benchmark dependency):
 
 * **merge** — raw ``reduce_partials`` wall-clock over synthetic
-  ``(sums, counts)`` block partials at large ``k*d`` (where the serial
-  fold is the Amdahl term a pooled engine exposes): the inline serial
-  fold vs the tree topology on the thread engine, asserting tree/serial
-  numerical parity and tree bit-invariance across engines and worker
-  counts;
+  ``(sums, counts)`` block partials at large ``k*d``: the serial left fold
+  vs the tree order, both folded inline by the engine (a reduce issues no
+  engine task, so the tree is timed through a thread engine only to show
+  that the engine does not matter), asserting tree/serial numerical
+  parity and tree bit-invariance across engines and worker counts;
 * **fit** — full ledgered executor fits (toy machine, levels 1-3) with
   ``reduce="serial"`` vs ``reduce="tree"``, asserting bit-identical
   centroids/assignments *between the two topologies' serial/thread
@@ -20,9 +20,10 @@ Run::
     PYTHONPATH=src python benchmarks/bench_reduce.py \
         [--quick] [--check] [--workers N] [--out BENCH_reduce.json]
 
-``--check`` exits non-zero on any parity mismatch.  Tree *speedup* is
-recorded but not gated: it is a property of the host (``cpu_count`` goes
-into the JSON), and a single-core host cannot show one by construction.
+``--check`` exits non-zero on any parity mismatch.  The tree/serial
+``speedup`` is recorded but not gated: both orders run the same number of
+merges on one thread, so it measures only how the merge order uses the
+cache (``cpu_count`` goes into the JSON).
 """
 
 import argparse
@@ -51,7 +52,7 @@ def _best_of(fn, repeats):
 
 
 # ---------------------------------------------------------------------------
-# merge sweep: raw reduce_partials, serial fold vs pooled tree
+# merge sweep: raw reduce_partials, serial fold vs tree order (both inline)
 # ---------------------------------------------------------------------------
 
 def _merge_sweep(shapes, workers, repeats):
@@ -151,7 +152,8 @@ def main(argv=None):
                         help="fail on any parity mismatch")
     parser.add_argument("--workers", type=int,
                         default=max(2, os.cpu_count() or 1),
-                        help="thread-engine width for tree combines "
+                        help="thread-engine width for the tree runs, "
+                             "whose bits must not depend on it "
                              "(default: cpu count, min 2)")
     parser.add_argument("--out", default="BENCH_reduce.json",
                         help="output JSON path")

@@ -42,8 +42,9 @@ __all__ = ["CacheEntry", "LintCache", "default_cache_dir"]
 #: the Op/Value IR) changes shape or meaning; the version feeds the content
 #: hash, so a bump silently invalidates every stale entry.  Version 2: path
 #: parts are relative to the project root.  Version 3: lambdas carry their
-#: own function summaries.
-_SCHEMA = 3
+#: own function summaries.  Version 4: suppressions come from comment
+#: tokens only.
+_SCHEMA = 4
 
 
 def default_cache_dir() -> Optional[Path]:

@@ -26,9 +26,11 @@ positive and a negative fixture in ``tests/analysis/``.
 from __future__ import annotations
 
 import ast
+import io
 import json
 import re
-from dataclasses import dataclass, field
+import tokenize
+from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import (
     TYPE_CHECKING,
@@ -68,7 +70,8 @@ __all__ = [
 ]
 
 #: ``# reprolint: disable=D101,D102 -- reason`` (trailing or whole-line) /
-#: ``# reprolint: disable-file=W603 -- reason``.
+#: ``# reprolint: disable-file=W603 -- reason``, matched at the start of a
+#: comment token.
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(?P<kind>disable|disable-file)\s*=\s*"
     r"(?P<rules>[A-Z][0-9]{3}(?:\s*,\s*[A-Z][0-9]{3})*)"
@@ -141,14 +144,13 @@ class LintContext:
     path: str                     # display path (as given to the runner)
     source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
     parts: Tuple[str, ...] = ()   # posix path components, file stem last
 
     @classmethod
     def from_source(cls, source: str, path: str) -> "LintContext":
         tree = ast.parse(source, filename=path)
         return cls(path=path, source=source, tree=tree,
-                   lines=source.splitlines(), parts=project_parts(path))
+                   parts=project_parts(path))
 
     def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         return Finding(rule=rule.id, path=self.path,
@@ -262,19 +264,31 @@ def dotted_name(node: ast.AST) -> str:
 
 # -- suppression handling ----------------------------------------------------
 
-def _parse_suppressions(lines: Sequence[str]) -> List[_Suppression]:
+def _parse_suppressions(source: str) -> List[_Suppression]:
+    """The suppression comments of one file, read from its comment tokens.
+
+    Only a comment that itself starts with ``# reprolint:`` counts: text in
+    docstrings, string literals and ``#:`` doc-comments that merely quotes
+    a suppression suppresses nothing.
+    """
     found: List[_Suppression] = []
-    for i, line in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(line)
+    if "reprolint:" not in source:
+        return found  # most files: skip the tokenizer
+    readline = io.StringIO(source).readline
+    for tok in tokenize.generate_tokens(readline):
+        if tok.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.match(tok.string)
         if match is None:
             continue
         rules = tuple(r.strip() for r in match.group("rules").split(","))
+        line, col = tok.start
         found.append(_Suppression(
-            line=i,
+            line=line,
             kind=match.group("kind"),
             rules=rules,
             reason=match.group("reason"),
-            own_line=line.strip().startswith("#"),
+            own_line=not tok.line[:col].strip(),
         ))
     return found
 
@@ -407,7 +421,7 @@ def lint_source(source: str, path: str,
         summary = extract_summary(ctx.tree, ctx.path, ctx.parts)
         for per_path in _project_findings([summary], project_rules).values():
             findings.extend(per_path)
-    suppressions = _parse_suppressions(ctx.lines)
+    suppressions = _parse_suppressions(ctx.source)
     findings = _apply_suppressions(findings, suppressions, ctx,
                                    [r.id for r in rules])
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
@@ -486,7 +500,7 @@ def lint_paths(paths: Iterable["str | Path"],
                 cache.put_file(path, digest, findings, [], None)
             continue
         raw = _check_file(ctx, file_rules)
-        suppressions = _parse_suppressions(ctx.lines)
+        suppressions = _parse_suppressions(ctx.source)
         findings = (_mark_suppressed(raw, suppressions)
                     + _suppression_meta(suppressions, path, known_ids))
         per_file[path] = findings

@@ -28,7 +28,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.envvars import ENV_CHECKPOINT_DIR
 from ..errors import ConfigurationError, IntegrityError
 from ..runtime.chaos import ChaosInjector
 from ..runtime.integrity import manifest_digests, resolve_integrity
@@ -38,11 +37,6 @@ from ..runtime.ledger import LedgerProtocol
 DEFAULT_CHECKPOINT_BW = 1e9
 #: Default per-snapshot latency (seconds) — metadata + sync overhead.
 DEFAULT_CHECKPOINT_LATENCY = 1e-3
-
-#: Environment override for the durable checkpoint directory, consulted by
-#: the facade when ``checkpoint_dir=None`` (empty/whitespace = unset;
-#: declared in :mod:`repro.analysis.envvars`).
-CHECKPOINT_DIR_ENV = ENV_CHECKPOINT_DIR.name
 
 #: Filename of the durable snapshot inside ``checkpoint_dir``.
 CHECKPOINT_FILENAME = "checkpoint.npz"

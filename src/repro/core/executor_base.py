@@ -224,12 +224,14 @@ class LevelExecutor(ABC):
         Reduction topology merging the per-block ``(sums, counts)``
         partials (``"serial"``, ``"tree"``, or a
         :class:`~repro.runtime.reduce.ReduceTopology` instance).  None
-        consults ``REPRO_REDUCE``.  The merge schedule is a pure function
-        of the block count (never of thread timing), so for a fixed
-        topology the results are bit-identical across engines and worker
-        counts; the serial default reproduces the historical in-order
-        fold exactly.  Executors with a hierarchical merge (Level 1/2)
-        lift the topology with
+        consults ``REPRO_REDUCE``.  The engine folds every topology
+        inline; the merge schedule is a pure function of the block count
+        (never of thread timing), so for a fixed topology the results are
+        bit-identical across engines and worker counts, and the serial
+        default reproduces the historical in-order fold exactly.  The
+        modelled register-communication and MPI reductions are priced by
+        the executors whatever the topology.  Executors with a
+        hierarchical merge (Level 1/2) lift the topology with
         :meth:`~repro.runtime.reduce.ReduceTopology.for_groups` so the
         within-CG stage and the cross-CG stage keep their shape.
     integrity:

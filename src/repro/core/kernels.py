@@ -70,9 +70,6 @@ KERNELS = ("naive", "gemm", "pruned")
 #: 2.0 ms in 512-pair slices and 5.6 ms in one.
 PAIR_BLOCK_BYTES = 1 << 18
 
-#: Environment variable consulted when no explicit ``kernel=`` is given.
-KERNEL_ENV = ENV_KERNEL.name
-
 
 class KernelBackend(ABC):
     """One distance formulation behind the Assign step.

@@ -137,11 +137,11 @@ class HierarchicalKMeans:
         Reduction topology merging the per-block ``(sums, counts)``
         partials: ``"serial"`` (default — the historical in-order fold,
         bit-identical to previous releases) or ``"tree"`` (balanced
-        pairwise merges that run as engine tasks, unlocking parallel
-        reduction at large k·d).  Either way the merge schedule is a pure
-        function of the block count, so results are bit-identical across
-        engines and worker counts for a fixed topology.  Unset, the
-        ``REPRO_REDUCE`` environment variable is consulted.  See
+        pairwise merges, which round differently).  Either way the engine
+        folds inline and the merge schedule is a pure function of the
+        block count, so results are bit-identical across engines and
+        worker counts for a fixed topology.  Unset, the ``REPRO_REDUCE``
+        environment variable is consulted.  See
         :mod:`repro.runtime.reduce`.
     integrity:
         Data-integrity mode for the host data planes: ``"off"`` (default),

@@ -118,9 +118,9 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
         ``"tree"``, or a :class:`~repro.runtime.reduce.ReduceTopology`
         instance; see :mod:`repro.runtime.reduce`).  None consults
         ``REPRO_REDUCE``.  The serial default folds in shard order —
-        bit-identical to the historical loop; the tree runs pairwise
-        combines as engine tasks, bit-identical across engines and worker
-        counts for a fixed topology.
+        bit-identical to the historical loop; the tree merges pairwise.
+        Both fold inline, bit-identical across engines and worker counts
+        for a fixed topology.
     empty_action:
         Empty-cluster rule for the Update step (``"keep"`` or
         ``"reseed_farthest"``; see

@@ -9,10 +9,11 @@ A *plan* is the static description the executors run from:
 
 Plans validate twice: first against the paper's aggregate constraints
 (C1/C2/C3 per level — see :mod:`repro.core.constraints`), then against the
-*exact* per-CPE byte budget by staging the buffer set on the machine's LDM
-allocators.  A configuration that passes the paper's algebra but would not
-actually fit (slice rounding, counter storage) is rejected at plan time, not
-deep inside an executor.
+*exact* per-CPE byte budget, in closed form (inline for Level 1,
+``_level2_exact_fits``/``_level3_exact_fits`` for the sliced levels).  A
+configuration that passes the paper's algebra but would not actually fit
+(slice rounding, counter storage) is rejected at plan time, not deep inside
+an executor.
 """
 
 from __future__ import annotations
@@ -66,8 +67,10 @@ def streaming_info(d_slice_elems: int, cent_slice_elems: int,
                    ldm_bytes: int, itemsize: int) -> StreamingInfo:
     """Residency fraction + per-iteration centroid DMA traffic per CPE.
 
-    Mirrors :meth:`repro.perfmodel.model.PerformanceModel._residency` so the
-    execute backend and the analytic model account streaming identically.
+    The one residency analysis: the planners attach it to their plans, and
+    :class:`repro.perfmodel.model.PerformanceModel` prices streaming with it,
+    so the execute backend and the analytic model account streaming
+    identically.
     """
     sample_bytes = d_slice_elems * itemsize
     budget = ldm_bytes - LDM_OVERHEAD_BYTES - 2 * sample_bytes
@@ -515,8 +518,9 @@ def stage_level1(plan: Level1Plan, machine: Machine) -> None:
     """Allocate Level-1 buffers on every active CPE's LDM allocator.
 
     Raises LDMOverflowError if the byte budget is exceeded — by construction
-    it never should be once plan_level1 succeeded; staging is the
-    belt-and-braces check used by tests and the execute backend.
+    it never should be once plan_level1 succeeded.  No executor stages:
+    ``stage_level1/2/3`` are the tests' byte-exact cross-check of the
+    planners.
     """
     machine.reset_ldm()
     item = _itemsize(plan.dtype)

@@ -19,6 +19,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..core.partition import (
+    LDM_OVERHEAD_BYTES,
+    STREAM_BUFFERS,
+    StreamingInfo,
+    stream_gate,
+    streaming_info,
+)
 from ..errors import ConfigurationError
 from ..machine.specs import MachineSpec
 from .params import DEFAULT_PARAMS, MachineParams, ModelParams, machine_params
@@ -61,17 +68,6 @@ class CostPrediction:
                 + self.network)
 
 
-@dataclass(frozen=True)
-class _Residency:
-    """Per-CPE LDM residency analysis for one configuration."""
-
-    resident_fraction: float
-    #: Samples held by one staging refill.
-    samples_per_stage: int
-    #: Total centroid-slice bytes fetched per iteration per CPE.
-    cent_traffic_bytes: float
-
-
 class PerformanceModel:
     """Prices one Lloyd iteration of each level on a machine spec.
 
@@ -91,31 +87,16 @@ class PerformanceModel:
 
     # -- shared machinery ---------------------------------------------------
 
-    def _stream_feasible(self, d_slice: int) -> bool:
-        """Can streaming buffers for a d_slice-element sample slice fit?"""
-        s = self.params.itemsize
-        return self.params.stream_buffers * d_slice * s <= self.mp.ldm_bytes
+    def _residency(self, d_slice: int, k_slice: int,
+                   samples_per_cpe: float) -> StreamingInfo:
+        """Residency of a k_slice x d_slice centroid slice on one CPE.
 
-    def _residency(self, d_slice: int, cent_slice_elems: float,
-                   count_elems: float, samples_per_cpe: float) -> _Residency:
-        """Residency fraction + per-iteration centroid DMA traffic per CPE."""
-        s = self.params.itemsize
-        ldm = self.mp.ldm_bytes
-        sample_bytes = d_slice * s
-        budget = ldm - self.params.ldm_overhead_bytes - 2 * sample_bytes
-        working = (2.0 * cent_slice_elems + count_elems) * s
-        cent_bytes = cent_slice_elems * s
-        if working <= 0:
-            return _Residency(1.0, max(1, int(samples_per_cpe)), 0.0)
-        rf = max(0.0, min(1.0, budget / working))
-        if rf >= 1.0:
-            # Fully resident: the slice is fetched once per iteration.
-            return _Residency(1.0, max(1, int(samples_per_cpe)), cent_bytes)
-        stage_bytes = self.params.stage_fraction * ldm
-        samples_per_stage = max(1, int(stage_bytes / max(sample_bytes, 1)))
-        n_stages = math.ceil(max(samples_per_cpe, 1.0) / samples_per_stage)
-        traffic = cent_bytes * (1.0 + (n_stages - 1) * (1.0 - rf))
-        return _Residency(rf, samples_per_stage, traffic)
+        The planner's own analysis (:func:`~repro.core.partition.streaming_info`)
+        at the model's element size; a fractional sample share rounds up.
+        """
+        return streaming_info(d_slice, k_slice * d_slice, k_slice,
+                              math.ceil(samples_per_cpe), self.mp.ldm_bytes,
+                              self.params.itemsize)
 
     def _allreduce(self, ranks: int, nbytes: float,
                    nodes_spanned: int) -> float:
@@ -166,7 +147,7 @@ class PerformanceModel:
         """n-partition: all centroids on every CPE, samples striped."""
         mp, p = self.mp, self.params
         s = p.itemsize
-        if not self._stream_feasible(d):
+        if not stream_gate(d, mp.ldm_bytes, s):
             return self._infeasible(
                 1, n, k, d,
                 f"sample of d={d} cannot be double-buffered in "
@@ -174,11 +155,11 @@ class PerformanceModel:
             )
         m = min(mp.total_cpes, n)
         samples_per_cpe = n / m
-        res = self._residency(d, float(k) * d, float(k), samples_per_cpe)
+        res = self._residency(d, k, samples_per_cpe)
 
         active_per_cg = min(mp.cpes_per_cg, math.ceil(m / mp.n_cgs))
         dma = active_per_cg * (samples_per_cpe * d * s
-                               + res.cent_traffic_bytes) / mp.dma_bw
+                               + res.cent_traffic_bytes_per_cpe) / mp.dma_bw
         compute = self._flops_time(
             3.0 * samples_per_cpe * k * d     # distances
             + samples_per_cpe * d             # accumulate
@@ -208,11 +189,11 @@ class PerformanceModel:
         """nk-partition: k over mgroup CPEs of a CG, n over CPE groups."""
         mp, p = self.mp, self.params
         s = p.itemsize
-        if not self._stream_feasible(d):
+        if not stream_gate(d, mp.ldm_bytes, s):
             return self._infeasible(
                 2, n, k, d,
-                f"Level 2 needs {p.stream_buffers} LDM buffers of d={d} "
-                f"elements; {p.stream_buffers * d * s} B exceeds the "
+                f"Level 2 needs {STREAM_BUFFERS} LDM buffers of d={d} "
+                f"elements; {STREAM_BUFFERS * d * s} B exceeds the "
                 f"{mp.ldm_bytes} B LDM",
             )
 
@@ -224,7 +205,7 @@ class PerformanceModel:
             if mg > cap:
                 break
             k_slice = math.ceil(k / mg)
-            res = self._residency(d, float(k_slice) * d, float(k_slice), 1.0)
+            res = self._residency(d, k_slice, 1.0)
             if res.resident_fraction >= 1.0:
                 chosen = mg
                 break
@@ -234,13 +215,12 @@ class PerformanceModel:
         groups = max(1, min(mp.total_cpes // mgroup, n))
         samples_per_group = n / groups
         k_slice = math.ceil(k / mgroup)
-        res = self._residency(d, float(k_slice) * d, float(k_slice),
-                              samples_per_group)
+        res = self._residency(d, k_slice, samples_per_group)
 
         # Every member CPE streams the whole group block; each CG hosts
         # cpes_per_cg member CPEs (of one or more groups).
         dma = mp.cpes_per_cg * (samples_per_group * d * s
-                                + res.cent_traffic_bytes) / mp.dma_bw
+                                + res.cent_traffic_bytes_per_cpe) / mp.dma_bw
         compute = self._flops_time(
             3.0 * samples_per_group * k_slice * d
             + samples_per_group * d / mgroup
@@ -274,7 +254,7 @@ class PerformanceModel:
         mp, p = self.mp, self.params
         s = p.itemsize
         d_slice = math.ceil(d / mp.cpes_per_cg)
-        if not self._stream_feasible(d_slice):
+        if not stream_gate(d_slice, mp.ldm_bytes, s):
             return self._infeasible(
                 3, n, k, d,
                 f"even a d/{mp.cpes_per_cg} sample slice cannot be "
@@ -282,8 +262,7 @@ class PerformanceModel:
             )
 
         # Smallest m'group whose per-CPE centroid slice is fully resident.
-        budget = (mp.ldm_bytes - p.ldm_overhead_bytes
-                  - 2 * d_slice * s)
+        budget = mp.ldm_bytes - LDM_OVERHEAD_BYTES - 2 * d_slice * s
         per_centroid_bytes = (2 * d_slice + 1) * s
         kg_max = budget // per_centroid_bytes if budget > 0 else 0
         if kg_max >= 1:
@@ -295,13 +274,12 @@ class PerformanceModel:
         groups = max(1, mp.n_cgs // mprime)
         samples_per_group = n / groups
         k_slice = math.ceil(k / mprime)
-        res = self._residency(d_slice, float(k_slice) * d_slice,
-                              float(k_slice), samples_per_group)
+        res = self._residency(d_slice, k_slice, samples_per_group)
 
         # A CG streams the block across its mesh: per-CPE volume is the
         # block's d_slice share, so the CG-aggregate is block * d * s.
         dma = (samples_per_group * d * s
-               + mp.cpes_per_cg * res.cent_traffic_bytes) / mp.dma_bw
+               + mp.cpes_per_cg * res.cent_traffic_bytes_per_cpe) / mp.dma_bw
         compute = self._flops_time(
             3.0 * samples_per_group * k_slice * d_slice
             + samples_per_group * d_slice

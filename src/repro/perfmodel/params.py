@@ -5,9 +5,10 @@ The model prices one Lloyd iteration at *paper scale* (up to 4,096 nodes /
 two places:
 
 * the machine spec (bandwidths, latencies, core counts) — published numbers,
-* a small set of implementation parameters below (staging-buffer sizing,
-  sustained-FLOP efficiency, per-message MPI overhead) calibrated once so
-  the model lands in the paper's reported ranges (see EXPERIMENTS.md).
+* a small set of implementation parameters below (sustained-FLOP
+  efficiency, per-message MPI overhead) calibrated once so the model lands
+  in the paper's reported ranges (see EXPERIMENTS.md); the LDM staging
+  constants are the planner's own (:mod:`repro.core.partition`).
 
 A key modelling decision, documented in DESIGN.md: the paper's written
 constraints C1-C3 describe a fully *resident* buffer set, but its own
@@ -40,19 +41,12 @@ class ModelParams:
     dtype: np.dtype = np.dtype(np.float32)
     #: Sustained fraction of peak FLOP/s for the LDM-resident distance kernel.
     compute_efficiency: float = 0.35
-    #: Fraction of the LDM reserved for the streaming sample stage.
-    stage_fraction: float = 0.45
-    #: Fixed LDM overhead (stack, control, counters) in bytes.
-    ldm_overhead_bytes: int = 1024
     #: Per-message software overhead (seconds) of fine-grained MPI traffic —
     #: the Level-3 per-sample MINLOC is a chain of 16-byte messages whose
     #: sustained rate this bounds.  MPE-driven MPI on the SW26010 is slow
     #: for small messages; 8 us calibrates Level 3's flat overhead floor to
     #: the paper's Figure 7.
     mpi_message_overhead: float = 8.0e-6
-    #: Streaming buffers required per CPE: sample double-buffer (2) +
-    #: centroid chunk + accumulator chunk.
-    stream_buffers: int = 4
     #: Fixed per-iteration orchestration cost (seconds): MPE kernel launch,
     #: CPE spawn/join, MPI setup.  Matters only for sub-10ms workloads.
     iteration_overhead: float = 1.0e-3
@@ -63,12 +57,6 @@ class ModelParams:
                 f"compute_efficiency must be in (0, 1], got "
                 f"{self.compute_efficiency}"
             )
-        if not 0.0 < self.stage_fraction < 1.0:
-            raise ConfigurationError(
-                f"stage_fraction must be in (0, 1), got {self.stage_fraction}"
-            )
-        if self.ldm_overhead_bytes < 0:
-            raise ConfigurationError("ldm_overhead_bytes must be >= 0")
 
     @property
     def itemsize(self) -> int:

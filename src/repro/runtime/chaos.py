@@ -103,11 +103,6 @@ WORKER_KINDS = ("worker_kill", "worker_hang")
 #: so only the integrity layer (repro.runtime.integrity) can detect them.
 BITFLIP_KINDS = ("bitflip_partial", "bitflip_arena", "bitflip_checkpoint")
 
-#: Environment override: compact chaos-plan string consulted by
-#: :func:`resolve_chaos` (empty/whitespace counts as unset; declared in
-#: :mod:`repro.analysis.envvars`).
-CHAOS_ENV = ENV_CHAOS.name
-
 
 @dataclass(frozen=True)
 class ChaosSpec:

@@ -56,7 +56,6 @@ injector (see :mod:`repro.runtime.chaos`) the same way.
 from __future__ import annotations
 
 import atexit
-import functools
 import os
 import sys
 import threading
@@ -115,12 +114,6 @@ ENGINES = ("serial", "thread", "process")
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Environment overrides for the default :class:`TaskPolicy` (declared in
-#: :mod:`repro.analysis.envvars`; the string aliases are kept for callers).
-TASK_RETRIES_ENV = ENV_TASK_RETRIES.name
-TASK_TIMEOUT_ENV = ENV_TASK_TIMEOUT.name
-
 
 @dataclass(frozen=True)
 class TaskPolicy:
@@ -236,22 +229,6 @@ def blas_share(workers: int) -> int:
 
 class _QuarantinedSlot(Exception):
     """Internal: a quarantined pool thread refused a task (re-run inline)."""
-
-
-def _combine_pair(combine: CombineFn, pair: Tuple[Any, Any]) -> Any:
-    """Module-level merge task: pooled reductions must pickle (W604)."""
-    return combine(pair[0], pair[1])
-
-
-def _combine_pair_verified(combine: CombineFn, pair: Tuple[Any, Any]) -> Any:
-    """Merge task with ABFT verification at the tree-combine node.
-
-    Verifies both operands' CRCs, checks check-row preservation, and
-    seals the merged partial — inside the engine task, so under the
-    process engine the verification runs worker-side on the bytes that
-    actually crossed the pipe.  Module-level for picklability (W604).
-    """
-    return verified_combine(combine, pair[0], pair[1], where="tree combine")
 
 
 class _SharedEntry:
@@ -457,102 +434,40 @@ class ExecutionEngine(ABC):
     def reduce_partials(self, partials: Sequence[Any],
                         combine: CombineFn = combine_partials,
                         topology: ReduceLike = None) -> Any:
-        """Reduce ordered partials under a deterministic merge topology.
+        """Fold ordered partials inline, in the topology's merge order.
 
         The topology's schedule is a pure function of ``len(partials)``
         (see :mod:`repro.runtime.reduce`), so the merge order — and hence
-        the bits — never depends on thread timing:
+        the bits — never depends on the engine or on thread timing.  Every
+        topology folds here, in the caller: a reduce issues **no** task
+        ids and runs **no** chaos hooks, so task ids count map tasks only.
 
-        * a non-pooled topology (serial, the default) folds inline in the
-          caller, issuing **no** task ids and running **no** chaos hooks —
-          exactly the hand-rolled loop this method replaced, preserving
-          the pre-refactor task-id stream bit-for-bit;
-        * a pooled topology (tree) runs each round's independent merges as
-          real engine tasks via :meth:`map` — the TaskPolicy retry ladder,
-          slot quarantine, and chaos hooks all apply, and task ids are
-          issued in canonical slot order per round, so fault/chaos plans
-          replay identically across engines and worker counts.
+        Under integrity each merge re-validates its ABFT check row and
+        seals its result (:func:`~repro.runtime.integrity.verified_combine`)
+        and the winner's CRC is verified once at the end.  Operands are not
+        re-hashed: leaves were CRC-verified at the map boundary and merge
+        results never leave this frame.
 
-        ``combine`` must be pure and non-mutating (retries re-run it on
-        the original operands).  Combines never charge the ledger — the
-        executors charge modelled reduction costs in canonical order
-        outside engine tasks (reprolint W602).
+        ``combine`` must be pure and non-mutating.  Combines never charge
+        the ledger — the executors charge modelled reduction costs in
+        canonical order outside engine tasks (reprolint W602).
         """
-        topo = resolve_reduce(topology)
-        verifying = self.integrity != "off"
         slots: List[Any] = list(partials)
-        n = len(slots)
-        if n == 0:
+        if not slots:
             raise ConfigurationError("cannot reduce zero partials")
-        if n == 1:
+        schedule = resolve_reduce(topology).schedule(len(slots))
+        winner = validate_schedule(schedule, len(slots))
+        verifying = self.integrity != "off"
+        for dst, src in schedule:
             if verifying:
-                verify_partial(slots[0], where="final fold")
-            return slots[0]
-        schedule = topo.schedule(n)
-        winner = validate_schedule(schedule, n)
-        if not topo.pooled:
-            for round_ in schedule:
-                for dst, src in round_:
-                    if verifying:
-                        # Leaves were CRC-verified at the map boundary and
-                        # intermediate results never leave this frame, so
-                        # only the per-node check row is re-validated here.
-                        slots[dst] = verified_combine(
-                            combine, slots[dst], slots[src],
-                            where="serial fold", trust_operands=True)
-                    else:
-                        slots[dst] = combine(slots[dst], slots[src])
-                    slots[src] = None
-            if verifying:
-                verify_partial(slots[winner], where="final fold")
-            return slots[winner]
-
-        merge = functools.partial(
-            _combine_pair_verified if verifying else _combine_pair, combine)
-        for round_ in schedule:
-            pairs = [(slots[dst], slots[src]) for dst, src in round_]
-            merged = self.map(merge, pairs)
-            merge_ids = list(self._last_map_ids)
-            for pos, ((dst, src), value) in enumerate(zip(round_, merged)):
-                if verifying:
-                    value = self._verify_merged(
-                        combine, slots[dst], slots[src], value,
-                        merge_ids[pos] if pos < len(merge_ids) else -1)
-                slots[dst] = value
-                slots[src] = None
+                slots[dst] = verified_combine(combine, slots[dst],
+                                              slots[src], where="fold")
+            else:
+                slots[dst] = combine(slots[dst], slots[src])
+            slots[src] = None
         if verifying:
             verify_partial(slots[winner], where="final fold")
         return slots[winner]
-
-    def _verify_merged(self, combine: CombineFn, a: Any, b: Any, value: Any,
-                       task_id: int) -> Any:
-        """Verify one pooled merge's output; recompute inline under repair.
-
-        A tree-combine node's output can be corrupted after the merge task
-        sealed it (bitflip chaos, pickle transport).  Both operand slots
-        are still alive in the caller, so the smallest possible repair is
-        an inline recompute of exactly this subtree — no task re-runs, no
-        descent into the operands, which were themselves verified inside
-        the merge task.
-        """
-        try:
-            verify_partial(value, where=f"tree merge output (task {task_id})")
-            return value
-        except IntegrityError:
-            self._record(
-                "integrity",
-                f"corrupt merge output detected at tree-combine node "
-                f"(task {task_id})",
-            )
-            if self.integrity != "repair":
-                raise
-        value = verified_combine(combine, a, b, where="tree merge repair")
-        self._record(
-            "integrity_repair",
-            f"tree-combine node (task {task_id}) recomputed inline from "
-            f"its verified operands",
-        )
-        return value
 
     def map_reduce(self, fn: Callable[[_T], Any], items: Iterable[_T],
                    combine: CombineFn = combine_partials,
@@ -561,11 +476,14 @@ class ExecutionEngine(ABC):
         """Map ``fn`` over ``items`` and reduce the partials in one seam.
 
         Equivalent to ``reduce_partials(self.map(fn, items), combine,
-        topology)``; with ``return_partials=True`` the result is the pair
-        ``(reduced, partials)`` for callers whose cost model also needs
-        the individual per-block partials.  This is the canonical merge
-        path for every Assign+Accumulate call site — reprolint rule W601
-        flags hand-rolled accumulation loops over ``engine.map`` results.
+        topology)``, with every sealed leaf CRC-verified (and, under
+        repair, recomputed) between the two.  Only the map issues task ids,
+        one per item, whatever the topology.  With ``return_partials=True``
+        the result is the pair ``(reduced, partials)`` for callers whose
+        cost model also needs the individual per-block partials.  This is
+        the canonical merge path for every Assign+Accumulate call site —
+        reprolint rule W601 flags hand-rolled accumulation loops over
+        ``engine.map`` results.
         """
         work: Sequence[_T] = list(items)
         partials = self.map(fn, work)
@@ -963,11 +881,6 @@ class ThreadEngine(ExecutionEngine):
 
 #: Anything :func:`resolve_engine` accepts.
 EngineLike = Union[str, ExecutionEngine, None]
-
-#: Environment overrides, consulted only when ``engine=None`` is passed
-#: (declared in :mod:`repro.analysis.envvars`; string aliases for callers).
-ENGINE_ENV = ENV_ENGINE.name
-WORKERS_ENV = ENV_WORKERS.name
 
 
 def resolve_engine(engine: EngineLike = None,

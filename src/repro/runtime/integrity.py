@@ -6,8 +6,9 @@ segment between publish and task start, or in a checkpoint npz on disk.
 Nothing raises; the numbers are simply wrong.  This module is the matching
 detection/repair side:
 
-* **Partials** — every :class:`~repro.runtime.reduce.Reducible` carrier
-  exposes ``_integrity_payload()``; :func:`seal_partial` stamps a CRC32
+* **Partials** — every typed reduction carrier
+  (:class:`~repro.runtime.reduce.BlockPartial` and its subclass) exposes
+  ``_integrity_payload()``; :func:`seal_partial` stamps a CRC32
   over the payload bytes (exact single-bit-flip detection) plus, for the
   sums-bearing carriers, an ABFT check row ``sums.sum(axis=0)``.
   :func:`verify_partial` recomputes and raises
@@ -33,10 +34,10 @@ Modes
     (a transient :class:`~repro.errors.FaultError`, so supervised runs
     escalate through the ordinary recovery policies).
 ``"repair"``
-    As ``verify``, but the engine first recomputes the smallest corrupted
-    subtree/block under the existing ``TaskPolicy`` budget and restores
-    corrupted shared segments from their retained sources; only
-    persistent corruption escalates.
+    As ``verify``, but the engine first recomputes the corrupted block
+    under the existing ``TaskPolicy`` budget and restores corrupted shared
+    segments from their retained sources; only persistent corruption
+    escalates.
 
 The mode is resolved like every other runtime knob: explicit argument
 beats the registered ``REPRO_INTEGRITY`` environment variable beats the
@@ -56,7 +57,6 @@ from ..analysis.envvars import ENV_INTEGRITY, read_str
 from ..errors import ConfigurationError, IntegrityError
 
 __all__ = [
-    "INTEGRITY_ENV",
     "INTEGRITY_MODES",
     "checksum_payload",
     "crc32_array",
@@ -71,11 +71,6 @@ __all__ = [
 
 #: Recognised integrity modes, in increasing order of intervention.
 INTEGRITY_MODES: Tuple[str, ...] = ("off", "verify", "repair")
-
-#: Environment override consulted by :func:`resolve_integrity` when no
-#: explicit mode is given (declared in :mod:`repro.analysis.envvars`;
-#: string alias for callers).
-INTEGRITY_ENV = ENV_INTEGRITY.name
 
 
 def resolve_integrity(integrity: Optional[str] = None) -> str:
@@ -163,13 +158,13 @@ def _payload_of(partial: Any) -> Optional[Tuple[Any, ...]]:
 
 
 def seal_partial(partial: Any) -> Any:
-    """Stamp ABFT checksum fields onto a Reducible carrier, in place.
+    """Stamp ABFT checksum fields onto a typed carrier, in place.
 
     No-op for objects without an ``_integrity_payload`` (plain tuples and
     arrays stay uncovered — only the typed carriers participate) and for
-    carriers that are already sealed: a merge task seals its output once,
-    and re-sealing after the chaos seam would launder corruption into a
-    fresh checksum.
+    carriers that are already sealed: a carrier is sealed once, where it
+    is made, and re-sealing after the chaos seam would launder corruption
+    into a fresh checksum.
     """
     payload = _payload_of(partial)
     if payload is None or getattr(partial, "crc", None) is not None:
@@ -238,26 +233,15 @@ def verify_combine(a: Any, b: Any, combined: Any, where: str = "combine") -> Non
 
 
 def verified_combine(combine: Callable[[Any, Any], Any], a: Any, b: Any,
-                     where: str = "combine",
-                     trust_operands: bool = False) -> Any:
-    """Verify operands, combine, check row preservation, and seal the result.
+                     where: str = "combine") -> Any:
+    """Combine two verified partials, check row preservation, and seal.
 
-    ``trust_operands=True`` skips the operand CRC re-hash for callers that
-    already verified both operands and hold them across no task or
-    transport seam — the engine's inline serial fold, whose slots are
-    either leaves verified at the map boundary or merge results created
-    in-caller one statement earlier.  The per-node ABFT check row still
-    validates every merge algebraically, so gross corruption of a slot is
-    caught even on that path; re-hashing would only duplicate a check that
-    cannot fail.  Pooled tree merges must keep the default: their operands
-    cross pickling and the bitflip-chaos seam.
-
-    Module-level (not a closure) so ``functools.partial`` over it stays
-    picklable for pooled tree merges on the process engine.
+    The operands' CRCs are not re-hashed: the engine's inline fold, the
+    only caller, feeds leaves CRC-verified at the map boundary or merge
+    results it built one statement earlier.  The per-node ABFT check row
+    still validates every merge algebraically, so gross corruption of a
+    slot is caught; the fold verifies the winner's CRC at the end.
     """
-    if not trust_operands:
-        verify_partial(a, where=f"{where} left operand")
-        verify_partial(b, where=f"{where} right operand")
     combined = combine(a, b)
     verify_combine(a, b, combined, where=where)
     return seal_partial(combined)

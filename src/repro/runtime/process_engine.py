@@ -128,11 +128,6 @@ HEARTBEAT_INTERVAL = 0.05
 #: Default parent-side heartbeat timeout (``REPRO_HEARTBEAT`` overrides).
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 
-#: Environment override for the heartbeat timeout, consulted only when no
-#: explicit ``heartbeat_s=`` is given (declared in
-#: :mod:`repro.analysis.envvars`).
-HEARTBEAT_ENV = ENV_HEARTBEAT.name
-
 #: Poll tick of the supervision loop — bounds dead-worker detection latency.
 _SUPERVISE_TICK = 0.05
 

@@ -9,7 +9,7 @@ replaces the idiom with an explicit contract:
     A pure, associative, **non-mutating** binary merge of two partials.
     :func:`combine_partials` handles the shapes the executors produce
     (tuples of ndarrays, bare ndarrays, numbers) and defers to a partial's
-    own ``combine`` method when it has one (see :class:`Reducible`).
+    own ``combine`` method when it has one.
 
 ``topology``
     *Which* pairs merge, and in what order — a :class:`ReduceTopology`
@@ -19,34 +19,34 @@ replaces the idiom with an explicit contract:
     the same topology give the same bits on any engine, at any worker
     count.
 
-Two reduction shapes ship (mirroring the two engines):
+Two reduction shapes ship:
 
 ``serial``
     The left fold ``(((p0 + p1) + p2) + ...)`` — exactly the loop the call
-    sites used to hand-roll, so it is the bit-identical default.  Combines
-    run inline in the caller; no engine tasks are issued.
+    sites used to hand-roll, so it is the bit-identical default.
 
 ``tree``
-    A balanced binary tree over the block slots: round r merges slot
+    A balanced binary tree over the block slots: pass r merges slot
     ``i + 2^r`` into slot ``i`` for every ``i`` divisible by ``2^(r+1)``.
-    Each round's merges are independent, so
-    :meth:`~repro.runtime.engine.ExecutionEngine.map_reduce` runs them as
-    real engine tasks — on the pool, under the full
-    :class:`~repro.runtime.engine.TaskPolicy` retry/quarantine ladder and
-    the chaos hooks.  Task ids are issued per round in canonical slot
-    order, so chaos plans and retry jitter replay bit-identically across
-    engines and worker counts (the same invariant the map phase has).
+    It adds the same partials in a different order, so it rounds
+    differently from ``serial``.
 
-:class:`GroupedTopology` composes an inner per-group reduction with an
-outer reduction over the group winners — the shape Level 1/2 use so the
-within-CG merge and the cross-CG allreduce keep today's exact operation
-order.
+Either way the engine folds **inline** in the caller
+(:meth:`~repro.runtime.engine.ExecutionEngine.reduce_partials`): a
+schedule is a flat sequence of ``(dst, src)`` merges run in order, and a
+reduction issues no engine task and no task id.  The topology only fixes
+the merge order, and so the bits.
+
+:class:`GroupedTopology` reduces each group under a base topology, then
+the group winners under the same topology — the shape Level 1/2 use so
+the within-CG merge and the cross-CG allreduce keep today's exact
+operation order.
 
 Ledger note: combines charge **nothing** here.  Modelled reduction costs
 (register-communication and MPI allreduce seconds) stay with the
 executors, which charge them in canonical order outside engine tasks —
-reprolint rule W602 forbids charging from inside a mapped task, and the
-tree seam keeps that contract.
+reprolint rule W602 forbids charging from inside a mapped task or a
+combine.
 
 Selection: ``reduce="tree"`` on the facade/executors/:func:`lloyd`/CLI, or
 the ``REPRO_REDUCE`` environment variable (consulted only when no explicit
@@ -55,17 +55,7 @@ the ``REPRO_REDUCE`` environment variable (consulted only when no explicit
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,41 +65,15 @@ from ..errors import ConfigurationError
 #: Names accepted by :func:`resolve_reduce`.
 REDUCTIONS = ("serial", "tree")
 
-#: Environment override, consulted only when ``reduce=None`` is passed
-#: (declared in :mod:`repro.analysis.envvars`; string alias for callers).
-REDUCE_ENV = ENV_REDUCE.name
-
 #: One pairwise merge: (destination slot, source slot).  The source is
 #: consumed; the destination holds the combined partial afterwards.
 Merge = Tuple[int, int]
 
-#: One round of independent merges (disjoint slots — safe to run
-#: concurrently as engine tasks).
-Round = Tuple[Merge, ...]
-
-#: A full reduction plan: rounds run in order, merges within a round are
-#: unordered (independent).
-Schedule = Tuple[Round, ...]
+#: A full reduction plan: merges run in order.
+Schedule = Tuple[Merge, ...]
 
 #: A binary combine over partials.
 CombineFn = Callable[[Any, Any], Any]
-
-
-@runtime_checkable
-class Reducible(Protocol):
-    """A partial that knows how to merge with a peer.
-
-    ``combine`` must be pure and non-mutating: it returns a *new* partial
-    and leaves both operands untouched, so a partial can safely feed
-    several speculative merges (engine retries re-run combines).
-    Associativity is required for tree topologies to be well-defined;
-    bitwise commutativity is **not** required — schedules only ever merge
-    ``(dst, src)`` with ``dst < src``, preserving block order.
-    """
-
-    def combine(self, other: Any) -> Any:
-        """Return the merge of ``self`` and ``other`` (a new object)."""
-        ...
 
 
 class BlockPartial:
@@ -241,12 +205,12 @@ def scatter_labels(partials: Sequence["BlockPartial"],
 def combine_partials(a: Any, b: Any) -> Any:
     """The default combine: merge two partials without mutating either.
 
-    * objects with a ``combine`` method delegate to it (:class:`Reducible`),
+    * objects with a ``combine`` method delegate to it,
     * tuples combine elementwise (the executors' ``(sums, counts)`` shape),
     * ndarrays and plain numbers add.
 
-    Always returns fresh objects — the operands stay pristine, so a
-    retried combine task recomputes from unpoisoned inputs.
+    Always returns fresh objects — the operands stay pristine, so the
+    engine's map results can be reduced and still scattered afterwards.
     """
     if hasattr(a, "combine"):
         return a.combine(b)
@@ -283,21 +247,18 @@ class ReduceTopology:
 
     A topology is stateless: :meth:`schedule` is a pure function of the
     slot count ``n``, so the merge order can never depend on thread
-    timing.  ``pooled`` says whether the engine should run each round's
-    combines as real engine tasks (tree) or fold inline (serial).
+    timing.
     """
 
     #: Registry name ("serial", "tree", or a composed description).
     name: str = ""
-    #: True when combines should run as engine tasks (on the pool).
-    pooled: bool = False
 
     def schedule(self, n: int) -> Schedule:
-        """The merge plan for ``n`` slots: rounds of independent merges.
+        """The merge plan for ``n`` slots, in the order the merges run.
 
-        Exactly ``n - 1`` merges in total; every slot except the final
-        winner is consumed exactly once, and a consumed slot never
-        appears again.  :func:`validate_schedule` checks these invariants.
+        Exactly ``n - 1`` merges; every slot except the final winner is
+        consumed exactly once, and a consumed slot never appears again.
+        :func:`validate_schedule` checks these invariants.
         """
         raise NotImplementedError
 
@@ -308,7 +269,7 @@ class ReduceTopology:
         (a CG) first, then the group winners reduce across groups — both
         stages under this topology's shape.
         """
-        return GroupedTopology(groups, inner=self, outer=self)
+        return GroupedTopology(groups, self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -318,43 +279,34 @@ class SerialTopology(ReduceTopology):
     """Left-fold chain: slot i merges into slot 0, in index order.
 
     This is exactly the loop the call sites used to hand-roll, so it is
-    the bit-identical default.  ``pooled`` is False: the engine folds
-    inline, issuing no task ids — the pre-refactor task-id stream (and so
-    every existing chaos/fault replay) is preserved.
+    the bit-identical default.
     """
 
     name = "serial"
-    pooled = False
 
     def schedule(self, n: int) -> Schedule:
-        return tuple(((0, i),) for i in range(1, n))
+        return tuple((0, i) for i in range(1, n))
 
 
 class TreeTopology(ReduceTopology):
     """Balanced binary reduction tree over the slot indices.
 
-    Round r merges slot ``i + 2^r`` into slot ``i`` for every surviving
+    Pass r merges slot ``i + 2^r`` into slot ``i`` for every surviving
     ``i`` with ``i % 2^(r+1) == 0`` — the textbook recursive-halving
-    shape.  ``ceil(log2 n)`` rounds; merges within a round touch disjoint
-    slots, so they run concurrently as engine tasks without changing the
-    result: the *shape* fixes the merge order, not the thread schedule.
+    shape, ``ceil(log2 n)`` passes deep.  The passes run one after the
+    other; the *shape* fixes the merge order, and so the bits.
     """
 
     name = "tree"
-    pooled = True
 
     def schedule(self, n: int) -> Schedule:
-        rounds: List[Round] = []
+        merges: List[Merge] = []
         stride = 1
         while stride < n:
-            merges = tuple(
-                (dst, dst + stride)
-                for dst in range(0, n - stride, 2 * stride)
-            )
-            if merges:
-                rounds.append(merges)
+            merges.extend((dst, dst + stride)
+                          for dst in range(0, n - stride, 2 * stride))
             stride *= 2
-        return tuple(rounds)
+        return tuple(merges)
 
 
 class GroupedTopology(ReduceTopology):
@@ -362,20 +314,17 @@ class GroupedTopology(ReduceTopology):
 
     ``groups`` lists the slot indices of each group, in the order the
     outer stage should see them; together the groups must partition
-    ``range(n)``.  The inner topology reduces each group to its first
-    slot; the outer topology then reduces those winners.  Inner rounds of
-    different groups are independent, so round i of every group fuses
-    into one global round (they run concurrently when pooled).
+    ``range(n)``.  The ``base`` topology reduces each group to its first
+    slot, group by group; the same topology then reduces those winners.
 
-    ``GroupedTopology(groups, SerialTopology(), SerialTopology())``
-    reproduces the Level 1/2 pre-refactor order exactly: per-CG left
-    folds, then a left fold across CGs — the same operation sequence as
-    the old per-CG ``np.sum`` + cross-CG allreduce.
+    ``GroupedTopology(groups, SerialTopology())`` reproduces the Level 1/2
+    pre-refactor order exactly: per-CG left folds, then a left fold across
+    CGs — the same operation sequence as the old per-CG ``np.sum`` +
+    cross-CG allreduce.
     """
 
     def __init__(self, groups: Sequence[Sequence[int]],
-                 inner: Optional[ReduceTopology] = None,
-                 outer: Optional[ReduceTopology] = None) -> None:
+                 base: ReduceTopology) -> None:
         self.groups: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(int(s) for s in group) for group in groups
         )
@@ -384,10 +333,8 @@ class GroupedTopology(ReduceTopology):
                 "GroupedTopology needs at least one group and no empty "
                 "groups"
             )
-        self.inner = inner if inner is not None else SerialTopology()
-        self.outer = outer if outer is not None else self.inner
-        self.pooled = self.inner.pooled or self.outer.pooled
-        self.name = f"grouped({self.inner.name}/{self.outer.name})"
+        self.base = base
+        self.name = f"grouped({base.name})"
 
     def schedule(self, n: int) -> Schedule:
         members = sorted(s for g in self.groups for s in g)
@@ -396,24 +343,20 @@ class GroupedTopology(ReduceTopology):
                 f"GroupedTopology groups must partition range({n}); "
                 f"got slots {members}"
             )
-        # Stage 1: each group's inner schedule, slot-translated; round i
-        # of every group fuses into one global round.
-        inner_rounds: List[List[Merge]] = []
-        for group in self.groups:
-            for i, round_ in enumerate(self.inner.schedule(len(group))):
-                while len(inner_rounds) <= i:
-                    inner_rounds.append([])
-                inner_rounds[i].extend(
-                    (group[dst], group[src]) for dst, src in round_
-                )
-        # Stage 2: the group winners (each group's first slot) reduce
-        # under the outer topology.
-        winners = [group[0] for group in self.groups]
-        outer_rounds = [
-            [(winners[dst], winners[src]) for dst, src in round_]
-            for round_ in self.outer.schedule(len(winners))
+        # Stage 1: each group's schedule, slot-translated.  Groups touch
+        # disjoint slots, so running them one after another gives the
+        # same bits as interleaving them.
+        merges: List[Merge] = [
+            (group[dst], group[src])
+            for group in self.groups
+            for dst, src in self.base.schedule(len(group))
         ]
-        return tuple(tuple(r) for r in inner_rounds + outer_rounds if r)
+        # Stage 2: the group winners (each group's first slot) reduce
+        # under the same topology.
+        winners = [group[0] for group in self.groups]
+        merges.extend((winners[dst], winners[src])
+                      for dst, src in self.base.schedule(len(winners)))
+        return tuple(merges)
 
     def for_groups(self, groups: Sequence[Sequence[int]]) -> "ReduceTopology":
         raise ConfigurationError(
@@ -423,7 +366,7 @@ class GroupedTopology(ReduceTopology):
 
     def __repr__(self) -> str:
         return (f"GroupedTopology({len(self.groups)} groups, "
-                f"inner={self.inner.name!r}, outer={self.outer.name!r})")
+                f"base={self.base.name!r})")
 
 
 def validate_schedule(schedule: Schedule, n: int) -> int:
@@ -434,29 +377,19 @@ def validate_schedule(schedule: Schedule, n: int) -> int:
     merge (with ``n == 1``, slot 0 wins by default).
     """
     alive = set(range(n))
-    merges = 0
     winner = 0
-    for round_ in schedule:
-        seen: set = set()
-        for dst, src in round_:
-            if dst not in alive or src not in alive:
-                raise ConfigurationError(
-                    f"schedule merges dead slot: ({dst}, {src}) with "
-                    f"alive={sorted(alive)}"
-                )
-            if dst == src or dst in seen or src in seen:
-                raise ConfigurationError(
-                    f"schedule round reuses a slot: ({dst}, {src})"
-                )
-            seen.update((dst, src))
-            merges += 1
-            winner = dst
-        for dst, src in round_:
-            alive.discard(src)
-    if merges != n - 1 or len(alive) != 1:
+    for dst, src in schedule:
+        if dst == src or dst not in alive or src not in alive:
+            raise ConfigurationError(
+                f"schedule merges a dead or repeated slot: ({dst}, {src}) "
+                f"with alive={sorted(alive)}"
+            )
+        alive.discard(src)
+        winner = dst
+    if len(alive) != 1:
         raise ConfigurationError(
             f"schedule for {n} slots must have exactly {n - 1} merges "
-            f"leaving one winner; got {merges} merges, "
+            f"leaving one winner; got {len(schedule)} merges, "
             f"{len(alive)} survivors"
         )
     return winner

@@ -35,12 +35,6 @@ from typing import Callable, List, Optional, Union
 from ..analysis.envvars import ENV_DEADLINE, read_float
 from ..errors import ConfigurationError, DeadlineExceededError
 
-#: Environment override for the wall-clock deadline, consulted only when
-#: ``deadline_s=None`` is passed (empty/whitespace value counts as unset;
-#: declared in :mod:`repro.analysis.envvars`).
-DEADLINE_ENV = ENV_DEADLINE.name
-
-
 @dataclass
 class HostEvent:
     """One host-side occurrence during a supervised run.

@@ -80,29 +80,3 @@ def test_registry_rows_are_sorted_and_complete():
     names = [row[0] for row in rows]
     assert names == sorted(REGISTRY)
     assert all(len(row) == 4 for row in rows)
-
-
-def test_consumers_still_alias_the_registry():
-    # The legacy *_ENV module constants must stay bound to the registry so
-    # existing tests and scripts keep working.
-    from repro.core.checkpoint import CHECKPOINT_DIR_ENV
-    from repro.core.kernels import KERNEL_ENV
-    from repro.runtime.chaos import CHAOS_ENV
-    from repro.runtime.engine import (
-        ENGINE_ENV,
-        TASK_RETRIES_ENV,
-        TASK_TIMEOUT_ENV,
-        WORKERS_ENV,
-    )
-    from repro.runtime.integrity import INTEGRITY_ENV
-    from repro.runtime.process_engine import HEARTBEAT_ENV
-    from repro.runtime.reduce import REDUCE_ENV
-    from repro.runtime.supervisor import DEADLINE_ENV
-
-    aliased = {ENGINE_ENV, WORKERS_ENV, TASK_RETRIES_ENV, TASK_TIMEOUT_ENV,
-               DEADLINE_ENV, CHAOS_ENV, CHECKPOINT_DIR_ENV, REDUCE_ENV,
-               HEARTBEAT_ENV, KERNEL_ENV, INTEGRITY_ENV}
-    # Newer knobs are consumed through the typed accessors directly and
-    # never grew a legacy *_ENV alias; they are exempt on purpose.
-    modern = {envvars.ENV_LINT_CACHE.name}
-    assert aliased == set(REGISTRY) - modern

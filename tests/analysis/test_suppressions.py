@@ -100,3 +100,31 @@ def test_multiple_ids_in_one_comment():
     import random  # reprolint: disable=D101,D103 -- fixture exercising both ids
     """)
     assert active(found) == []
+
+
+def test_suppressions_quoted_in_strings_suppress_nothing():
+    found = lint('''
+    """Quoting a suppression in a docstring is documentation:
+
+        # reprolint: disable-file=D103 -- from the docstring
+    """
+    NOTE = "# reprolint: disable=D103 -- from a string literal"
+    #: ``# reprolint: disable=D103 -- from a doc-comment``
+
+    def _merge(partials):
+        for k, v in partials.items():
+            consume(k, v)
+    ''')
+    assert [f.rule for f in found] == ["D103"]
+    assert active(found) == found
+
+
+def test_comment_after_a_multiline_string_is_trailing():
+    found = lint('''
+    def _merge(partials):
+        doc = """
+        """  # reprolint: disable=D103 -- covers this line only
+        for k, v in partials.items():
+            consume(k, v)
+    ''')
+    assert [f.rule for f in active(found)] == ["D103"]

@@ -172,10 +172,6 @@ class TestCalibrationParams:
         with pytest.raises(ConfigurationError):
             ModelParams(compute_efficiency=0.0)
 
-    def test_invalid_stage_fraction(self):
-        with pytest.raises(ConfigurationError):
-            ModelParams(stage_fraction=1.0)
-
     def test_itemsize(self):
         assert ModelParams().itemsize == 4
         assert ModelParams(dtype=np.dtype(np.float64)).itemsize == 8

@@ -10,6 +10,7 @@ fail-fast) visibly fails.
 import numpy as np
 import pytest
 
+from repro.analysis.envvars import ENV_CHAOS
 from repro.core.init import init_centroids
 from repro.core.kmeans import HierarchicalKMeans
 from repro.core.lloyd import lloyd
@@ -17,7 +18,6 @@ from repro.data.synthetic import gaussian_blobs
 from repro.errors import ChaosError, ConfigurationError, NumericalFaultError
 from repro.machine.machine import toy_machine
 from repro.runtime.chaos import (
-    CHAOS_ENV,
     ChaosInjector,
     ChaosPlan,
     ChaosSpec,
@@ -69,7 +69,7 @@ class TestParseChaosPlan:
 class TestResolveChaos:
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        monkeypatch.delenv(ENV_CHAOS.name, raising=False)
 
     def test_default_is_none(self):
         assert resolve_chaos() is None
@@ -82,14 +82,14 @@ class TestResolveChaos:
         assert resolve_chaos(ChaosPlan()) is None
 
     def test_env_string(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "task_exception@2")
+        monkeypatch.setenv(ENV_CHAOS.name, "task_exception@2")
         inj = resolve_chaos()
         assert isinstance(inj, ChaosInjector)
         assert inj.plan.specs[0].task_id == 2
 
     @pytest.mark.parametrize("value", ["", "  "])
     def test_env_empty_is_unset(self, monkeypatch, value):
-        monkeypatch.setenv(CHAOS_ENV, value)
+        monkeypatch.setenv(ENV_CHAOS.name, value)
         assert resolve_chaos() is None
 
 

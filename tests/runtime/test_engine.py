@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from repro.analysis.envvars import ENV_ENGINE, ENV_WORKERS
 from repro.core._common import accumulate, assign_with_distances, inertia
 from repro.core.init import init_centroids
 from repro.core.kernels import resolve_kernel
@@ -22,8 +23,6 @@ from repro.data.synthetic import gaussian_blobs
 from repro.errors import ConfigurationError
 from repro.machine.machine import toy_machine
 from repro.runtime.engine import (
-    ENGINE_ENV,
-    WORKERS_ENV,
     SerialEngine,
     ThreadEngine,
     resolve_engine,
@@ -40,8 +39,8 @@ class TestResolveEngine:
     def _clean_env(self, monkeypatch):
         # These tests pin resolve_engine's *default* behaviour; the CI
         # matrix exports REPRO_ENGINE/REPRO_WORKERS for the whole suite.
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.delenv(ENV_ENGINE.name, raising=False)
+        monkeypatch.delenv(ENV_WORKERS.name, raising=False)
 
     def test_default_is_serial(self):
         assert isinstance(resolve_engine(), SerialEngine)
@@ -87,20 +86,20 @@ class TestResolveEngine:
             resolve_engine(name, workers=workers)
 
     def test_env_engine(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "thread")
-        monkeypatch.setenv(WORKERS_ENV, "3")
+        monkeypatch.setenv(ENV_ENGINE.name, "thread")
+        monkeypatch.setenv(ENV_WORKERS.name, "3")
         eng = resolve_engine()
         assert isinstance(eng, ThreadEngine)
         assert eng.workers == 3
 
     def test_env_ignored_when_explicit(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "thread")
-        monkeypatch.setenv(WORKERS_ENV, "3")
+        monkeypatch.setenv(ENV_ENGINE.name, "thread")
+        monkeypatch.setenv(ENV_WORKERS.name, "3")
         assert isinstance(resolve_engine("serial"), SerialEngine)
 
     def test_env_bad_workers_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "thread")
-        monkeypatch.setenv(WORKERS_ENV, "four")
+        monkeypatch.setenv(ENV_ENGINE.name, "thread")
+        monkeypatch.setenv(ENV_WORKERS.name, "four")
         with pytest.raises(ConfigurationError):
             resolve_engine()
 
@@ -108,21 +107,21 @@ class TestResolveEngine:
     def test_env_empty_values_are_unset(self, monkeypatch, value):
         # CI matrices export empty strings for legs that don't use a knob;
         # an empty REPRO_WORKERS/REPRO_ENGINE must behave like no override.
-        monkeypatch.setenv(ENGINE_ENV, value)
-        monkeypatch.setenv(WORKERS_ENV, value)
+        monkeypatch.setenv(ENV_ENGINE.name, value)
+        monkeypatch.setenv(ENV_WORKERS.name, value)
         assert isinstance(resolve_engine(), SerialEngine)
 
     def test_env_workers_alone_implies_thread(self, monkeypatch):
         # Same implication as resolve_engine(workers=4): REPRO_WORKERS > 1
         # without REPRO_ENGINE selects the thread engine rather than
         # rejecting workers on the serial default.
-        monkeypatch.setenv(WORKERS_ENV, "4")
+        monkeypatch.setenv(ENV_WORKERS.name, "4")
         eng = resolve_engine()
         assert isinstance(eng, ThreadEngine)
         assert eng.workers == 4
 
     def test_env_workers_one_stays_serial(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
+        monkeypatch.setenv(ENV_WORKERS.name, "1")
         assert isinstance(resolve_engine(), SerialEngine)
 
 
@@ -221,8 +220,8 @@ def test_lloyd_thread_parity(workload, kernel, workers):
 def test_env_var_selection_round_trip(monkeypatch, workload):
     X, C0 = workload
     baseline = lloyd(X, C0, max_iter=5)
-    monkeypatch.setenv(ENGINE_ENV, "thread")
-    monkeypatch.setenv(WORKERS_ENV, "2")
+    monkeypatch.setenv(ENV_ENGINE.name, "thread")
+    monkeypatch.setenv(ENV_WORKERS.name, "2")
     via_env = lloyd(X, C0, max_iter=5)
     np.testing.assert_array_equal(baseline.centroids, via_env.centroids)
 

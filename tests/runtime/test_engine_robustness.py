@@ -15,6 +15,7 @@ from typing import List
 
 import pytest
 
+from repro.analysis.envvars import ENV_TASK_RETRIES, ENV_TASK_TIMEOUT
 from repro.errors import (
     ChaosError,
     ConfigurationError,
@@ -24,8 +25,6 @@ from repro.errors import (
 from repro.runtime import engine as engine_mod
 from repro.runtime.chaos import resolve_chaos
 from repro.runtime.engine import (
-    TASK_RETRIES_ENV,
-    TASK_TIMEOUT_ENV,
     ExecutionEngine,
     SerialEngine,
     TaskPolicy,
@@ -69,8 +68,8 @@ class TestTaskPolicy:
 class TestResolveTaskPolicy:
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(TASK_RETRIES_ENV, raising=False)
-        monkeypatch.delenv(TASK_TIMEOUT_ENV, raising=False)
+        monkeypatch.delenv(ENV_TASK_RETRIES.name, raising=False)
+        monkeypatch.delenv(ENV_TASK_TIMEOUT.name, raising=False)
 
     def test_defaults(self):
         policy = resolve_task_policy()
@@ -82,15 +81,15 @@ class TestResolveTaskPolicy:
         assert resolve_task_policy(policy) is policy
 
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(TASK_RETRIES_ENV, "5")
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "2.5")
+        monkeypatch.setenv(ENV_TASK_RETRIES.name, "5")
+        monkeypatch.setenv(ENV_TASK_TIMEOUT.name, "2.5")
         policy = resolve_task_policy()
         assert policy.max_retries == 5
         assert policy.timeout_s == 2.5
 
     def test_env_bad_values_rejected(self, monkeypatch):
-        monkeypatch.setenv(TASK_RETRIES_ENV, "many")
-        with pytest.raises(ConfigurationError, match=TASK_RETRIES_ENV):
+        monkeypatch.setenv(ENV_TASK_RETRIES.name, "many")
+        with pytest.raises(ConfigurationError, match=ENV_TASK_RETRIES.name):
             resolve_task_policy()
 
 

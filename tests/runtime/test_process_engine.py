@@ -10,14 +10,13 @@ so the parent-side numerics never see a difference.
 import numpy as np
 import pytest
 
+from repro.analysis.envvars import ENV_ENGINE, ENV_WORKERS
 from repro.core.init import init_centroids
 from repro.core.lloyd import lloyd
 from repro.data.synthetic import gaussian_blobs
 from repro.errors import ConfigurationError
 from repro.runtime.chaos import ChaosInjector, parse_chaos_plan
 from repro.runtime.engine import (
-    ENGINE_ENV,
-    WORKERS_ENV,
     SerialEngine,
     TaskPolicy,
     resolve_engine,
@@ -238,8 +237,8 @@ class TestWorkerChaos:
 class TestResolveProcess:
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.delenv(ENV_ENGINE.name, raising=False)
+        monkeypatch.delenv(ENV_WORKERS.name, raising=False)
 
     def test_name_resolves_to_process_engine(self):
         engine = resolve_engine("process", workers=2)
@@ -247,8 +246,8 @@ class TestResolveProcess:
         assert engine.workers == 2
 
     def test_env_selects_process(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "process")
-        monkeypatch.setenv(WORKERS_ENV, "2")
+        monkeypatch.setenv(ENV_ENGINE.name, "process")
+        monkeypatch.setenv(ENV_WORKERS.name, "2")
         assert isinstance(resolve_engine(), ProcessEngine)
 
     def test_no_fork_degrades_to_serial_with_event(self, monkeypatch):
@@ -259,7 +258,7 @@ class TestResolveProcess:
         assert _events(engine, "engine_fallback")
 
     def test_env_process_without_fork_never_crashes(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "process")
+        monkeypatch.setenv(ENV_ENGINE.name, "process")
         monkeypatch.setattr("repro.runtime.process_engine._fork_available",
                             lambda: False)
         engine = resolve_engine()

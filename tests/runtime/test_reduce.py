@@ -7,9 +7,9 @@ The contract under test (docs/architecture.md "Reduction seam"):
   worker counts;
 * ``reduce="serial"`` reproduces the historical hand-rolled left fold
   bit-for-bit (it *is* that loop, behind the seam);
-* combines never mutate their operands (engine retries re-run them);
-* chaos/fault replays stay bit-identical when tree combines run as real
-  engine tasks.
+* combines never mutate their operands;
+* every topology folds inline: a reduce issues no task id, so the task-id
+  stream (and with it every chaos plan) counts map tasks only.
 """
 
 import copy
@@ -19,16 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.envvars import ENV_REDUCE
 from repro.core.init import init_centroids
 from repro.core.kmeans import HierarchicalKMeans
 from repro.core.lloyd import lloyd
 from repro.data.synthetic import gaussian_blobs
 from repro.errors import ConfigurationError
 from repro.machine.machine import toy_machine
-from repro.runtime.engine import SerialEngine, ThreadEngine
+from repro.runtime.chaos import resolve_chaos
+from repro.runtime.engine import SerialEngine, TaskPolicy, ThreadEngine
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.reduce import (
-    REDUCE_ENV,
     BlockPartial,
     GroupedTopology,
     SerialTopology,
@@ -54,42 +55,27 @@ def test_schedules_are_valid_and_pure(topology, n):
 
 
 def test_serial_schedule_is_the_left_fold_chain():
-    assert SerialTopology().schedule(4) == (((0, 1),), ((0, 2),), ((0, 3),))
+    assert SerialTopology().schedule(4) == ((0, 1), (0, 2), (0, 3))
 
 
 def test_tree_schedule_is_recursive_halving():
-    assert TreeTopology().schedule(5) == (
-        ((0, 1), (2, 3)),
-        ((0, 2),),
-        ((0, 4),),
-    )
-
-
-def test_tree_rounds_touch_disjoint_slots():
-    for n in range(2, 70):
-        for round_ in TreeTopology().schedule(n):
-            slots = [s for merge in round_ for s in merge]
-            assert len(slots) == len(set(slots))
+    assert TreeTopology().schedule(5) == ((0, 1), (2, 3), (0, 2), (0, 4))
 
 
 @pytest.mark.parametrize("bad, n", [
-    ((((0, 1), (0, 2)),), 3),          # slot 0 reused within a round
-    ((((0, 1),), ((1, 2),)), 3),       # merges a consumed slot
-    ((((0, 1),),), 3),                 # too few merges
+    (((0, 1), (1, 2)), 3),             # merges a consumed slot
+    (((0, 1),), 3),                    # too few merges
+    (((1, 1), (0, 1), (0, 2)), 3),     # merges a slot into itself
 ])
 def test_validate_schedule_rejects_malformed_plans(bad, n):
     with pytest.raises(ConfigurationError):
         validate_schedule(bad, n)
 
 
-def test_grouped_schedule_fuses_inner_rounds_then_reduces_winners():
+def test_grouped_schedule_reduces_group_by_group_then_winners():
     topo = SerialTopology().for_groups([[0, 1, 2], [3, 4]])
-    # Round i of every group fuses; then winners [0, 3] fold serially.
-    assert topo.schedule(5) == (
-        ((0, 1), (3, 4)),
-        ((0, 2),),
-        ((0, 3),),
-    )
+    # Each group folds in turn; then winners [0, 3] fold serially.
+    assert topo.schedule(5) == ((0, 1), (0, 2), (3, 4), (0, 3))
     assert validate_schedule(topo.schedule(5), 5) == 0
 
 
@@ -101,7 +87,7 @@ def test_grouped_schedule_requires_a_partition():
 
 def test_grouped_rejects_empty_groups():
     with pytest.raises(ConfigurationError):
-        GroupedTopology([[0, 1], []])
+        GroupedTopology([[0, 1], []], SerialTopology())
 
 
 def test_grouped_cannot_be_regrouped():
@@ -110,15 +96,8 @@ def test_grouped_cannot_be_regrouped():
         topo.for_groups([[0, 1]])
 
 
-def test_grouped_pooled_follows_members():
-    assert not SerialTopology().for_groups([[0, 1]]).pooled
-    assert TreeTopology().for_groups([[0, 1]]).pooled
-    assert GroupedTopology([[0, 1]], inner=SerialTopology(),
-                           outer=TreeTopology()).pooled
-
-
 # ---------------------------------------------------------------------------
-# combine_partials and the Reducible partial classes
+# combine_partials and the typed partial classes
 # ---------------------------------------------------------------------------
 
 def test_combine_adds_arrays_tuples_and_numbers():
@@ -159,7 +138,7 @@ def test_sum_count_partial_combines_without_mutation():
 # ---------------------------------------------------------------------------
 
 def test_resolve_reduce_names_instances_and_errors(monkeypatch):
-    monkeypatch.delenv(REDUCE_ENV, raising=False)
+    monkeypatch.delenv(ENV_REDUCE.name, raising=False)
     assert isinstance(resolve_reduce(None), SerialTopology)
     assert isinstance(resolve_reduce("tree"), TreeTopology)
     topo = TreeTopology()
@@ -169,7 +148,7 @@ def test_resolve_reduce_names_instances_and_errors(monkeypatch):
 
 
 def test_resolve_reduce_env_round_trip(monkeypatch):
-    monkeypatch.setenv(REDUCE_ENV, "tree")
+    monkeypatch.setenv(ENV_REDUCE.name, "tree")
     assert isinstance(resolve_reduce(None), TreeTopology)
     # Explicit beats the environment.
     assert isinstance(resolve_reduce("serial"), SerialTopology)
@@ -177,7 +156,7 @@ def test_resolve_reduce_env_round_trip(monkeypatch):
 
 @pytest.mark.parametrize("value", ["", "   ", "\t"])
 def test_resolve_reduce_blank_env_counts_as_unset(monkeypatch, value):
-    monkeypatch.setenv(REDUCE_ENV, value)
+    monkeypatch.setenv(ENV_REDUCE.name, value)
     assert isinstance(resolve_reduce(None), SerialTopology)
 
 
@@ -238,6 +217,30 @@ def test_map_reduce_returns_partials_on_request():
     assert partials == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
+TOPOLOGIES = [
+    pytest.param("serial", id="serial"),
+    pytest.param("tree", id="tree"),
+    pytest.param(TreeTopology().for_groups([[0, 1, 2], [3, 4, 5]]),
+                 id="grouped-tree"),
+]
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_reduce_issues_one_task_id_per_item(topology, workers):
+    # A chaos plan aimed at id 6 stays silent through a 6-item map_reduce,
+    # whatever the topology, and fires on the first task of the next map.
+    engine = ThreadEngine(workers, policy=TaskPolicy(backoff_s=0.0),
+                          chaos=resolve_chaos("task_exception@6"))
+    assert engine.map_reduce(int, range(6), topology=topology) == 15
+    assert engine.drain_events() == []
+    assert engine.map(int, range(3)) == [0, 1, 2]
+    events = [(kind, detail.split(":")[0])
+              for kind, detail, _ in engine.drain_events()]
+    assert events == [("chaos", "task_exception"),
+                      ("task_retry", "task 6 attempt 1 after ChaosError")]
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=1, max_value=33),
        workers=st.integers(min_value=2, max_value=6),
@@ -291,7 +294,7 @@ def test_tree_reduce_bit_identical_across_engines(level):
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_serial_reduce_is_the_default_and_bit_identical(level, monkeypatch):
-    monkeypatch.delenv(REDUCE_ENV, raising=False)
+    monkeypatch.delenv(ENV_REDUCE.name, raising=False)
     default = _fit(level, "serial")
     explicit = _fit(level, "serial", reduce="serial")
     np.testing.assert_array_equal(default.centroids, explicit.centroids)
@@ -313,6 +316,39 @@ def test_fault_replay_engine_independent_under_tree(level):
     assert serial.ledger.records == threaded.ledger.records
 
 
+class _MapSizes(SerialEngine):
+    """Records the item count of every map() call."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sizes = []
+
+    def map(self, fn, items):
+        work = list(items)
+        self.sizes.append(len(work))
+        return super().map(fn, work)
+
+
+def test_chaos_task_id_names_the_same_block_under_every_topology():
+    # Task ids count Assign blocks only: with 4 blocks an iteration, id 5
+    # is block 1 of the second iteration whether the merges run as a left
+    # fold or as a tree.
+    fits = {}
+    for reduce in ("serial", "tree"):
+        engine = _MapSizes(policy=TaskPolicy(backoff_s=0.0),
+                           chaos=resolve_chaos("task_exception@5"))
+        chaotic = _fit(3, engine, reduce=reduce)
+        clean = _fit(3, "serial", reduce=reduce)
+        assert engine.sizes and set(engine.sizes) == {4}
+        np.testing.assert_array_equal(chaotic.centroids, clean.centroids)
+        assert chaotic.ledger.records == clean.ledger.records
+        fits[reduce] = chaotic.host_events
+    assert fits["serial"] == fits["tree"]
+    assert [(e.iteration, e.kind) for e in fits["tree"]] == [
+        (2, "chaos"), (2, "task_retry")]
+    assert "task 5 " in fits["tree"][0].detail
+
+
 def test_lloyd_tree_reduce_parity():
     X, _ = gaussian_blobs(n=640, k=5, d=8, seed=17)
     C0 = init_centroids(X, 5, method="first")
@@ -328,7 +364,7 @@ def test_reduce_env_selects_topology_end_to_end(monkeypatch):
     X, _ = gaussian_blobs(n=200, k=3, d=5, seed=4)
     C0 = init_centroids(X, 3, method="first")
     baseline = lloyd(X, C0, max_iter=5)
-    monkeypatch.setenv(REDUCE_ENV, "tree")
+    monkeypatch.setenv(ENV_REDUCE.name, "tree")
     via_env = lloyd(X, C0, max_iter=5)
     np.testing.assert_allclose(baseline.centroids, via_env.centroids,
                                rtol=1e-12)

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.analysis.envvars import ENV_DEADLINE
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.runtime.supervisor import (
-    DEADLINE_ENV,
     HostEvent,
     RunSupervisor,
     resolve_supervisor,
@@ -120,7 +120,7 @@ class TestRunSupervisor:
 class TestResolveSupervisor:
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(DEADLINE_ENV, raising=False)
+        monkeypatch.delenv(ENV_DEADLINE.name, raising=False)
 
     def test_default_build(self):
         sup = resolve_supervisor()
@@ -143,19 +143,19 @@ class TestResolveSupervisor:
             resolve_supervisor(RunSupervisor(deadline_s=5.0), deadline_s=9.0)
 
     def test_env_deadline(self, monkeypatch):
-        monkeypatch.setenv(DEADLINE_ENV, "120.5")
+        monkeypatch.setenv(ENV_DEADLINE.name, "120.5")
         assert resolve_supervisor().deadline_s == 120.5
 
     def test_env_ignored_when_explicit(self, monkeypatch):
-        monkeypatch.setenv(DEADLINE_ENV, "120.5")
+        monkeypatch.setenv(ENV_DEADLINE.name, "120.5")
         assert resolve_supervisor(deadline_s=7.0).deadline_s == 7.0
 
     @pytest.mark.parametrize("value", ["", "  "])
     def test_env_empty_is_unset(self, monkeypatch, value):
-        monkeypatch.setenv(DEADLINE_ENV, value)
+        monkeypatch.setenv(ENV_DEADLINE.name, value)
         assert resolve_supervisor().deadline_s is None
 
     def test_env_bad_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(DEADLINE_ENV, "soon")
-        with pytest.raises(ConfigurationError, match=DEADLINE_ENV):
+        monkeypatch.setenv(ENV_DEADLINE.name, "soon")
+        with pytest.raises(ConfigurationError, match=ENV_DEADLINE.name):
             resolve_supervisor()
